@@ -96,13 +96,13 @@ fn dc_evidence_builders(c: &mut Criterion) {
     group.bench_function("naive_per_predicate", |b| {
         b.iter(|| {
             let mut stats = dc::FastDcStats::default();
-            dc::evidence_sets(black_box(&r), &preds, &mut stats)
+            deptree_reference::dc::evidence_sets(black_box(&r), &preds, &mut stats)
         })
     });
     group.bench_function("grouped_bfastdc_style", |b| {
         b.iter(|| {
             let mut stats = dc::FastDcStats::default();
-            dc::evidence_sets_grouped(black_box(&r), &preds, &mut stats)
+            deptree_reference::dc::evidence_sets_grouped(black_box(&r), &preds, &mut stats)
         })
     });
     group.finish();

@@ -153,7 +153,7 @@ impl Dd {
     ///
     /// Similarity-range conjunctions are counted analytically when possible;
     /// otherwise candidates from the most selective LHS index are verified.
-    /// Equals [`Dd::support_confidence_naive`] either way.
+    /// Equals a full scan over every row pair either way.
     pub fn support_confidence(&self, r: &Relation) -> (usize, f64) {
         let counted = (|| {
             let lhs_specs: Vec<_> = self
@@ -192,27 +192,6 @@ impl Dd {
                 (m, s)
             }
         };
-        let conf = if matched == 0 {
-            1.0
-        } else {
-            ok as f64 / matched as f64
-        };
-        (matched, conf)
-    }
-
-    /// Reference full-scan implementation of [`Dd::support_confidence`];
-    /// kept as the differential-test and benchmark baseline.
-    pub fn support_confidence_naive(&self, r: &Relation) -> (usize, f64) {
-        let mut matched = 0usize;
-        let mut ok = 0usize;
-        for (i, j) in r.row_pairs() {
-            if self.lhs_compatible(r, i, j) {
-                matched += 1;
-                if self.rhs_compatible(r, i, j) {
-                    ok += 1;
-                }
-            }
-        }
         let conf = if matched == 0 {
             1.0
         } else {

@@ -82,8 +82,8 @@ impl Md {
     ///
     /// Enumerates candidates from the most selective similarity index of the
     /// LHS (equality blocking / band join / q-gram filter) and verifies each
-    /// against the exact metrics; the result is identical to
-    /// [`Md::matching_pairs_naive`].
+    /// against the exact metrics; the result is identical to filtering
+    /// every row pair through [`Md::lhs_similar`].
     pub fn matching_pairs(&self, r: &Relation) -> Vec<(usize, usize)> {
         let idx = crate::pairs::best_index(r, &self.lhs);
         let mut out = Vec::new();
@@ -95,14 +95,6 @@ impl Md {
         });
         out.sort_unstable();
         out
-    }
-
-    /// Reference full-scan implementation of [`Md::matching_pairs`]; kept as
-    /// the differential-test and benchmark baseline.
-    pub fn matching_pairs_naive(&self, r: &Relation) -> Vec<(usize, usize)> {
-        r.row_pairs()
-            .filter(|&(i, j)| self.lhs_similar(r, i, j))
-            .collect()
     }
 
     /// Visit LHS-similar pairs in the candidate index's deterministic order
@@ -143,7 +135,7 @@ impl Md {
     /// numeric band, both counts are computed analytically (grouping + a
     /// two-pointer band sweep) without touching a single pair; otherwise
     /// candidates from the most selective index are verified.  Either way
-    /// the result equals [`Md::support_confidence_naive`].
+    /// the result equals a full scan over every row pair.
     pub fn support_confidence(&self, r: &Relation) -> (f64, f64) {
         let n = r.n_rows() as u64;
         let n_pairs = n * n.saturating_sub(1) / 2;
@@ -172,32 +164,6 @@ impl Md {
             });
             (m, id)
         });
-        let support = matched as f64 / n_pairs as f64;
-        let confidence = if matched == 0 {
-            1.0
-        } else {
-            identified as f64 / matched as f64
-        };
-        (support, confidence)
-    }
-
-    /// Reference full-scan implementation of [`Md::support_confidence`];
-    /// kept as the differential-test and benchmark baseline.
-    pub fn support_confidence_naive(&self, r: &Relation) -> (f64, f64) {
-        let n_pairs = r.n_rows() * r.n_rows().saturating_sub(1) / 2;
-        if n_pairs == 0 {
-            return (0.0, 1.0);
-        }
-        let mut matched = 0usize;
-        let mut identified = 0usize;
-        for (i, j) in r.row_pairs() {
-            if self.lhs_similar(r, i, j) {
-                matched += 1;
-                if r.rows_agree(i, j, self.rhs) {
-                    identified += 1;
-                }
-            }
-        }
         let support = matched as f64 / n_pairs as f64;
         let confidence = if matched == 0 {
             1.0
@@ -409,7 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_paths_match_naive() {
+    fn indexed_violations_match_pair_scan() {
         let r6 = hotels_r6();
         let s6 = r6.schema();
         let r1 = hotels_r1();
@@ -444,12 +410,6 @@ mod tests {
         {
             for (r, md) in &cases {
                 let r = (*r).clone();
-                assert_eq!(md.matching_pairs(&r), md.matching_pairs_naive(&r), "{md}");
-                assert_eq!(
-                    md.support_confidence(&r),
-                    md.support_confidence_naive(&r),
-                    "{md}"
-                );
                 let naive_viols: Vec<Violation> = r
                     .row_pairs()
                     .filter(|&(i, j)| md.lhs_similar(&r, i, j) && !r.rows_agree(i, j, md.rhs()))

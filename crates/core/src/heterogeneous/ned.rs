@@ -120,8 +120,8 @@ impl Ned {
     ///
     /// Counts analytically (grouping / band sweep) when both the LHS and the
     /// LHS∧RHS conjunctions are countable; otherwise verifies candidates
-    /// from the most selective LHS index.  Equals
-    /// [`Ned::support_confidence_naive`] either way.
+    /// from the most selective LHS index.  Equals a full scan over every
+    /// row pair either way.
     pub fn support_confidence(&self, r: &Relation) -> (usize, f64) {
         let lhs_atoms = Self::atoms_as_tuples(&self.lhs);
         let mut both_atoms = lhs_atoms.clone();
@@ -148,27 +148,6 @@ impl Ned {
             });
             (m, s)
         });
-        let conf = if matched == 0 {
-            1.0
-        } else {
-            satisfied as f64 / matched as f64
-        };
-        (matched, conf)
-    }
-
-    /// Reference full-scan implementation of [`Ned::support_confidence`];
-    /// kept as the differential-test and benchmark baseline.
-    pub fn support_confidence_naive(&self, r: &Relation) -> (usize, f64) {
-        let mut matched = 0usize;
-        let mut satisfied = 0usize;
-        for (i, j) in r.row_pairs() {
-            if self.lhs_agrees(r, i, j) {
-                matched += 1;
-                if self.rhs_agrees(r, i, j) {
-                    satisfied += 1;
-                }
-            }
-        }
         let conf = if matched == 0 {
             1.0
         } else {
@@ -316,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_support_matches_naive() {
+    fn indexed_holds_matches_pair_scan() {
         let r = hotels_r6();
         let s = r.schema();
         let neds = vec![
@@ -338,11 +317,6 @@ mod tests {
             ),
         ];
         for n in &neds {
-            assert_eq!(
-                n.support_confidence(&r),
-                n.support_confidence_naive(&r),
-                "{n}"
-            );
             let naive_holds = r
                 .row_pairs()
                 .all(|(i, j)| !n.lhs_agrees(&r, i, j) || n.rhs_agrees(&r, i, j));

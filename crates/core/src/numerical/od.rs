@@ -115,15 +115,11 @@ impl Od {
         let &[(b, db)] = &self.rhs[..] else {
             return None;
         };
-        if deptree_relation::compat::row_major() {
-            return self.holds_sorted_row_major(r, (a, da), (b, db));
-        }
         // Columnar walk: each column's sorted-run index maps dictionary
         // codes to `numeric_cmp` ranks (numerically equal entries share a
-        // rank), so the whole check is integer sorting and comparison.
-        // The within-run and cross-run logic mirrors the row-major
-        // reference below — rank (in)equality is exactly `numeric_cmp`
-        // (in)equality, and rank order is `numeric_cmp` order.
+        // rank), so the whole check is integer sorting and comparison —
+        // rank (in)equality is exactly `numeric_cmp` (in)equality, and
+        // rank order is `numeric_cmp` order.
         let ca = r.col(a);
         let cb = r.col(b);
         let (ia, ib) = (ca.index(), cb.index());
@@ -164,55 +160,10 @@ impl Od {
         Some(true)
     }
 
-    /// Frozen row-major reference for [`Od::holds_sorted`], kept callable
-    /// for the differential harness and the scaling baseline.
-    fn holds_sorted_row_major(
-        &self,
-        r: &Relation,
-        (a, da): (AttrId, Direction),
-        (b, db): (AttrId, Direction),
-    ) -> Option<bool> {
-        let ca = r.column(a);
-        let cb = r.column(b);
-        let n = r.n_rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_unstable_by(|&i, &j| {
-            let ord = ca[i].numeric_cmp(&ca[j]);
-            match da {
-                Direction::Asc => ord,
-                Direction::Desc => ord.reverse(),
-            }
-        });
-        let mut start = 0;
-        let mut prev_rep: Option<usize> = None;
-        while start < n {
-            let head = order[start];
-            let mut end = start + 1;
-            while end < n && ca[head].numeric_cmp(&ca[order[end]]) == Ordering::Equal {
-                if cb[head].numeric_cmp(&cb[order[end]]) != Ordering::Equal {
-                    return Some(false);
-                }
-                end += 1;
-            }
-            if let Some(p) = prev_rep {
-                let ord = cb[p].numeric_cmp(&cb[head]);
-                let ok = match db {
-                    Direction::Asc => ord != Ordering::Greater,
-                    Direction::Desc => ord != Ordering::Less,
-                };
-                if !ok {
-                    return Some(false);
-                }
-            }
-            prev_rep = Some(head);
-            start = end;
-        }
-        Some(true)
-    }
-
-    /// Reference all-pairs check; kept as the differential-test baseline
-    /// for the sorted fast path of [`Dependency::holds`].
-    pub fn holds_naive(&self, r: &Relation) -> bool {
+    /// All-pairs check: both orientations of every row pair.
+    /// [`Dependency::holds`] runs it on every compound OD, which the
+    /// `O(n log n)` sorted check cannot decide.
+    pub fn holds_pairwise(&self, r: &Relation) -> bool {
         r.row_pairs()
             .all(|(i, j)| self.pair_ok(r, i, j) && self.pair_ok(r, j, i))
     }
@@ -226,7 +177,7 @@ impl Dependency for Od {
     fn holds(&self, r: &Relation) -> bool {
         match self.holds_sorted(r) {
             Some(ans) => ans,
-            None => self.holds_naive(r),
+            None => self.holds_pairwise(r),
         }
     }
 
@@ -341,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_check_matches_naive_on_all_single_atom_ods() {
+    fn sorted_check_matches_pairwise_on_all_single_atom_ods() {
         // Every (A^da → B^db) combination over r7 and perturbations of it:
         // the sorted fast path must agree with the all-pairs check.
         let base = hotels_r7();
@@ -360,7 +311,7 @@ mod tests {
                     for da in [Direction::Asc, Direction::Desc] {
                         for db in [Direction::Asc, Direction::Desc] {
                             let od = Od::new(&s, vec![(a, da)], vec![(b, db)]);
-                            assert_eq!(od.holds(r), od.holds_naive(r), "{od}");
+                            assert_eq!(od.holds(r), od.holds_pairwise(r), "{od}");
                         }
                     }
                 }

@@ -57,63 +57,19 @@ pub struct FastDcStats {
 }
 
 /// Compute the *evidence sets*: for each ordered tuple pair, the bitset of
-/// predicates it satisfies. Returns distinct evidence sets with their
+/// predicates it satisfies, as distinct evidence sets with their
 /// multiplicities.
-pub fn evidence_sets(
-    r: &Relation,
-    preds: &[Predicate],
-    stats: &mut FastDcStats,
-) -> HashMap<u64, usize> {
-    evidence_sets_bounded(r, preds, stats, &Exec::unbounded()).0
-}
-
-/// Budgeted [`evidence_sets`]: each tuple pair costs one engine row tick.
-/// Returns the evidence multiset plus a completeness flag; an incomplete
-/// multiset under-constrains covers, so callers must validate candidate
-/// DCs before emitting them.
-pub fn evidence_sets_bounded(
-    r: &Relation,
-    preds: &[Predicate],
-    stats: &mut FastDcStats,
-    exec: &Exec,
-) -> (HashMap<u64, usize>, bool) {
-    assert!(preds.len() <= 64, "predicate space capped at 64 bits");
-    let mut evidence: HashMap<u64, usize> = HashMap::new();
-    let mut complete = true;
-    'scan: for i in 0..r.n_rows() {
-        for j in 0..r.n_rows() {
-            if i == j {
-                continue;
-            }
-            if !exec.tick_rows(1) {
-                complete = false;
-                break 'scan;
-            }
-            stats.pairs_evaluated += 1;
-            let mut bits = 0u64;
-            for (k, p) in preds.iter().enumerate() {
-                if p.eval(r, i, j) {
-                    bits |= 1 << k;
-                }
-            }
-            *evidence.entry(bits).or_default() += 1;
-        }
-    }
-    stats.n_evidence_sets = evidence.len();
-    (evidence, complete)
-}
-
-/// Blocked evidence-set construction: group rows into distinct-tuple
-/// classes first, evaluate predicates once per ordered class pair, and
-/// account each result with the class-product multiplicity. An evidence
-/// bitset is a pure function of the two tuples' values, so rows within a
-/// class are interchangeable and the multiset equals [`evidence_sets`]'s
-/// exactly — in `O(d²·|P|)` for `d` distinct tuples instead of
-/// `O(n²·|P|)`. This is the default path of [`discover_bounded`].
 ///
-/// Budgeted like [`evidence_sets_bounded`]: every *represented* ordered
-/// pair costs one engine row tick (`Σ = n(n−1)` when complete, matching
-/// the naive scan). Ticks are charged block-by-block — one block per left
+/// Blocked construction: group rows into distinct-tuple classes first,
+/// evaluate predicates once per ordered class pair, and account each
+/// result with the class-product multiplicity. An evidence bitset is a
+/// pure function of the two tuples' values, so rows within a class are
+/// interchangeable and the multiset equals a per-pair scan's exactly — in
+/// `O(d²·|P|)` for `d` distinct tuples instead of `O(n²·|P|)`. This is the
+/// evidence path of [`discover_bounded`].
+///
+/// Budgeted: every *represented* ordered pair costs one engine row tick
+/// (`Σ = n(n−1)` when complete, matching a per-pair scan). Ticks are charged block-by-block — one block per left
 /// class, granted as a serial prefix so the grant is identical at any
 /// thread count — then blocks are evaluated in parallel and merged in
 /// class order. An incomplete multiset under-constrains covers, so
@@ -192,80 +148,6 @@ pub fn evidence_sets_blocked(
     span.attr("blocks", granted as u64);
     span.attr("evidence_sets", evidence.len() as u64);
     (evidence, complete)
-}
-
-/// BFASTDC-style evidence-set construction: instead of evaluating every
-/// predicate generically per pair, group the predicates by attribute,
-/// compare each pair's attribute values *once*, and set all of that
-/// attribute's predicate bits from the single comparison outcome — the
-/// bitwise-reuse idea of Pena & de Almeida (§4.3.4). Produces exactly the
-/// same evidence sets as [`evidence_sets`] (tested), several times faster
-/// on wide operator sets (ablation bench).
-pub fn evidence_sets_grouped(
-    r: &Relation,
-    preds: &[Predicate],
-    stats: &mut FastDcStats,
-) -> HashMap<u64, usize> {
-    use deptree_core::Operand;
-    assert!(preds.len() <= 64, "predicate space capped at 64 bits");
-    // Per attribute: (bit, op) lists for symmetric same-attribute
-    // predicates; anything else falls back to generic evaluation.
-    let mut by_attr: HashMap<AttrId, Vec<(usize, CmpOp)>> = HashMap::new();
-    let mut generic: Vec<(usize, &Predicate)> = Vec::new();
-    for (k, p) in preds.iter().enumerate() {
-        match (&p.left, &p.right) {
-            (Operand::First(a), Operand::Second(b)) if a == b => {
-                by_attr.entry(*a).or_default().push((k, p.op));
-            }
-            _ => generic.push((k, p)),
-        }
-    }
-    let attrs: Vec<(AttrId, Vec<(usize, CmpOp)>)> = by_attr.into_iter().collect();
-    let mut evidence: HashMap<u64, usize> = HashMap::new();
-    for i in 0..r.n_rows() {
-        for j in 0..r.n_rows() {
-            if i == j {
-                continue;
-            }
-            stats.pairs_evaluated += 1;
-            let mut bits = 0u64;
-            for (attr, ops) in &attrs {
-                let (vi, vj) = (r.value(i, *attr), r.value(j, *attr));
-                if vi.is_null() || vj.is_null() {
-                    // Match CmpOp::eval's null semantics predicate-wise.
-                    for &(k, op) in ops {
-                        if op.eval(vi, vj) {
-                            bits |= 1 << k;
-                        }
-                    }
-                    continue;
-                }
-                let ord = vi.numeric_cmp(vj);
-                for &(k, op) in ops {
-                    let sat = match (op, ord) {
-                        (CmpOp::Eq, std::cmp::Ordering::Equal)
-                        | (CmpOp::Leq, std::cmp::Ordering::Equal)
-                        | (CmpOp::Geq, std::cmp::Ordering::Equal) => true,
-                        (CmpOp::Neq, o) => o != std::cmp::Ordering::Equal,
-                        (CmpOp::Lt | CmpOp::Leq, std::cmp::Ordering::Less) => true,
-                        (CmpOp::Gt | CmpOp::Geq, std::cmp::Ordering::Greater) => true,
-                        _ => false,
-                    };
-                    if sat {
-                        bits |= 1 << k;
-                    }
-                }
-            }
-            for (k, p) in &generic {
-                if p.eval(r, i, j) {
-                    bits |= 1 << k;
-                }
-            }
-            *evidence.entry(bits).or_default() += 1;
-        }
-    }
-    stats.n_evidence_sets = evidence.len();
-    evidence
 }
 
 /// The result of a FASTDC run.
@@ -636,70 +518,6 @@ mod tests {
             Predicate::across(s.id("taxes"), CmpOp::Neq, s.id("taxes")),
         ];
         assert!(!is_contradictory(&fine));
-    }
-
-    #[test]
-    fn grouped_evidence_equals_naive() {
-        use deptree_synth::{categorical, CategoricalConfig};
-        let cfg = CategoricalConfig {
-            n_rows: 40,
-            n_key_attrs: 2,
-            n_dep_attrs: 1,
-            domain: 5,
-            error_rate: 0.1,
-            seed: 5,
-        };
-        let relations = [
-            hotels_r7(),
-            categorical::generate(&cfg, &mut deptree_synth::rng(cfg.seed)).relation,
-        ];
-        for r in relations {
-            let preds = predicate_space(&r);
-            let mut s1 = FastDcStats::default();
-            let mut s2 = FastDcStats::default();
-            let naive = evidence_sets(&r, &preds, &mut s1);
-            let grouped = evidence_sets_grouped(&r, &preds, &mut s2);
-            assert_eq!(naive, grouped);
-            assert_eq!(s1.pairs_evaluated, s2.pairs_evaluated);
-        }
-    }
-
-    #[test]
-    fn blocked_evidence_equals_naive() {
-        use deptree_synth::{categorical, CategoricalConfig};
-        // Small-domain synthetics have many duplicate tuples, exercising
-        // the multiplicity accounting; a duplicated-row instance makes the
-        // intra-class branch explicit.
-        let cfg = CategoricalConfig {
-            n_rows: 40,
-            n_key_attrs: 2,
-            n_dep_attrs: 1,
-            domain: 3,
-            error_rate: 0.1,
-            seed: 9,
-        };
-        let mut b = RelationBuilder::new()
-            .attr("x", ValueType::Numeric)
-            .attr("y", ValueType::Numeric);
-        for i in 0..12 {
-            b = b.row(vec![(i % 3).into(), (i % 2).into()]);
-        }
-        let relations = [
-            hotels_r7(),
-            categorical::generate(&cfg, &mut deptree_synth::rng(cfg.seed)).relation,
-            b.build().unwrap(),
-        ];
-        for r in relations {
-            let preds = predicate_space(&r);
-            let mut s1 = FastDcStats::default();
-            let mut s2 = FastDcStats::default();
-            let naive = evidence_sets(&r, &preds, &mut s1);
-            let (blocked, complete) =
-                evidence_sets_blocked(&r, &preds, &mut s2, &Exec::unbounded());
-            assert!(complete);
-            assert_eq!(naive, blocked);
-            assert_eq!(s1.pairs_evaluated, s2.pairs_evaluated);
-        }
     }
 
     #[test]

@@ -92,7 +92,8 @@ pub fn discover(r: &Relation, cfg: &DdConfig) -> Vec<Dd> {
 /// selective [`deptree_core::pairs::best_index`] for the combo's atoms,
 /// accumulating support plus the max RHS distance for *every* non-LHS
 /// attribute simultaneously (support depends only on the LHS, so it is
-/// shared). Output is identical to [`discover_naive`].
+/// shared). Output is identical to scoring every (LHS-combo, RHS)
+/// candidate with a full pair scan.
 pub fn discover_bounded(r: &Relation, cfg: &DdConfig, exec: &Exec) -> Outcome<Vec<Dd>> {
     let schema = r.schema();
     let attrs: Vec<AttrId> = schema.ids().collect();
@@ -184,83 +185,10 @@ pub fn discover_bounded(r: &Relation, cfg: &DdConfig, exec: &Exec) -> Outcome<Ve
     exec.finish(out)
 }
 
-/// Reference full-scan discovery: same search order, thresholds, and
-/// subsumption pruning as [`discover`], but every (LHS-combo, RHS)
-/// candidate is scored with an `O(n²)` pair scan. Kept as the
-/// differential-test and benchmark baseline for the indexed path.
-pub fn discover_naive(r: &Relation, cfg: &DdConfig) -> Vec<Dd> {
-    let schema = r.schema();
-    let attrs: Vec<AttrId> = schema.ids().collect();
-    let metrics: Vec<Metric> = attrs
-        .iter()
-        .map(|&a| Metric::default_for(schema.ty(a)))
-        .collect();
-    let thresholds: Vec<Vec<f64>> = attrs
-        .iter()
-        .map(|&a| candidate_thresholds(r, a, &metrics[a.0], cfg.thresholds_per_attr))
-        .collect();
-
-    let mut out: Vec<Dd> = Vec::new();
-    for lhs_set in crate::mvd_subsets(r.all_attrs(), cfg.max_lhs) {
-        let lhs_attrs = lhs_set.to_vec();
-        let mut combos: Vec<Vec<f64>> = vec![vec![]];
-        for &a in &lhs_attrs {
-            let mut next = Vec::new();
-            for c in &combos {
-                for &t in &thresholds[a.0] {
-                    let mut c2 = c.clone();
-                    c2.push(t);
-                    next.push(c2);
-                }
-            }
-            combos = next;
-        }
-        for combo in combos {
-            let lhs: Vec<DiffAtom> = lhs_attrs
-                .iter()
-                .zip(&combo)
-                .map(|(&a, &t)| DiffAtom::at_most(a, metrics[a.0].clone(), t))
-                .collect();
-            for &rhs_attr in &attrs {
-                if lhs_set.contains(rhs_attr) {
-                    continue;
-                }
-                let mut support = 0usize;
-                let mut max_rhs: f64 = 0.0;
-                for (i, j) in r.row_pairs() {
-                    if lhs.iter().all(|atom| atom.compatible(r, i, j)) {
-                        support += 1;
-                        let d =
-                            metrics[rhs_attr.0].dist(r.value(i, rhs_attr), r.value(j, rhs_attr));
-                        max_rhs = max_rhs.max(d);
-                    }
-                }
-                if support < cfg.min_support || !max_rhs.is_finite() {
-                    continue;
-                }
-                let cand = Dd::new(
-                    schema,
-                    lhs.clone(),
-                    vec![DiffAtom::new(
-                        rhs_attr,
-                        metrics[rhs_attr.0].clone(),
-                        DistRange::at_most(max_rhs),
-                    )],
-                );
-                if !out.iter().any(|prev| subsumes(prev, &cand)) {
-                    out.retain(|prev| !subsumes(&cand, prev));
-                    out.push(cand);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Does `a` subsume `b`: same attributes, every `b`-LHS atom implies the
 /// corresponding `a`-LHS atom is looser (accepts at least those pairs),
 /// and `a`'s RHS is at least as tight?
-fn subsumes(a: &Dd, b: &Dd) -> bool {
+pub fn subsumes(a: &Dd, b: &Dd) -> bool {
     if a.lhs().len() != b.lhs().len() || a.rhs().len() != b.rhs().len() {
         return false;
     }
@@ -334,25 +262,6 @@ mod tests {
                 )],
             );
             assert!(!tighter.holds(&r), "σ not tight for {dd}");
-        }
-    }
-
-    #[test]
-    fn indexed_discovery_matches_naive() {
-        let r = hotels_r6();
-        let cfgs = [
-            DdConfig::default(),
-            DdConfig {
-                thresholds_per_attr: 3,
-                min_support: 1,
-                max_lhs: 1,
-            },
-        ];
-        for cfg in &cfgs {
-            let fast = discover(&r, cfg);
-            let slow = discover_naive(&r, cfg);
-            let render = |v: &[Dd]| v.iter().map(|d| d.to_string()).collect::<Vec<_>>();
-            assert_eq!(render(&fast), render(&slow));
         }
     }
 

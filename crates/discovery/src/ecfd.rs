@@ -30,7 +30,9 @@ impl Default for ECfdConfig {
 }
 
 fn numeric_constants(r: &Relation, attr: AttrId, k: usize) -> Vec<Value> {
-    let mut vals: Vec<Value> = r.column(attr).to_vec();
+    let mut vals: Vec<Value> = (0..r.n_rows())
+        .map(|row| r.value(row, attr).clone())
+        .collect();
     vals.sort();
     vals.dedup();
     if vals.len() <= k {

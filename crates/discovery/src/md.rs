@@ -61,7 +61,8 @@ pub fn discover(r: &Relation, rhs: AttrSet, cfg: &MdConfig) -> Vec<ScoredMd> {
 /// Combinations of one LHS attribute set are scored in parallel via
 /// `pool::map` (scoring is pure), with budget *reservation* up front and a
 /// serial in-order merge replaying the domination pruning — output is
-/// identical at any thread count, and equal to [`discover_naive`].
+/// identical at any thread count, and equal to scoring every combination
+/// with a full pair scan.
 pub fn discover_bounded(
     r: &Relation,
     rhs: AttrSet,
@@ -112,41 +113,9 @@ pub fn discover_bounded(
     exec.finish(out)
 }
 
-/// Reference serial implementation scoring every combination with the
-/// full `O(n²)` pair scan; kept as the differential-test and benchmark
-/// baseline for [`discover`].
-pub fn discover_naive(r: &Relation, rhs: AttrSet, cfg: &MdConfig) -> Vec<ScoredMd> {
-    let schema = r.schema();
-    let candidates: Vec<AttrId> = schema.ids().filter(|a| !rhs.contains(*a)).collect();
-    let mut out: Vec<ScoredMd> = Vec::new();
-    for lhs_set in crate::mvd_subsets(candidates.iter().copied().collect(), cfg.max_lhs) {
-        let lhs_attrs = lhs_set.to_vec();
-        for combo in &threshold_combos(r, &lhs_attrs, cfg) {
-            let lhs: Vec<(AttrId, Metric, f64)> = lhs_attrs
-                .iter()
-                .zip(combo)
-                .map(|(&a, &t)| (a, Metric::default_for(schema.ty(a)), t))
-                .collect();
-            let md = Md::new(schema, lhs, rhs);
-            let (support, confidence) = md.support_confidence_naive(r);
-            merge_scored(
-                &mut out,
-                ScoredMd {
-                    md,
-                    support,
-                    confidence,
-                },
-                cfg,
-            );
-        }
-    }
-    out.sort_by(|a, b| b.support.total_cmp(&a.support));
-    out
-}
-
 /// Threshold combinations (cartesian product of per-attribute candidate
 /// thresholds) for one LHS attribute set.
-fn threshold_combos(r: &Relation, lhs_attrs: &[AttrId], cfg: &MdConfig) -> Vec<Vec<f64>> {
+pub fn threshold_combos(r: &Relation, lhs_attrs: &[AttrId], cfg: &MdConfig) -> Vec<Vec<f64>> {
     let schema = r.schema();
     let thresholds: Vec<Vec<f64>> = lhs_attrs
         .iter()
@@ -178,7 +147,7 @@ fn threshold_combos(r: &Relation, lhs_attrs: &[AttrId], cfg: &MdConfig) -> Vec<V
 /// dominated; evict rules it dominates (RCK-style minimality — an MD
 /// whose LHS uses a subset of attributes with looser-or-equal thresholds
 /// matches strictly more pairs, making the tighter rule redundant).
-fn merge_scored(out: &mut Vec<ScoredMd>, smd: ScoredMd, cfg: &MdConfig) {
+pub fn merge_scored(out: &mut Vec<ScoredMd>, smd: ScoredMd, cfg: &MdConfig) {
     if smd.support < cfg.min_support || smd.confidence < cfg.min_confidence {
         return;
     }
@@ -282,22 +251,6 @@ mod tests {
         assert!(found
             .iter()
             .any(|smd| smd.md.lhs().iter().any(|(a, _, _)| *a == s.id("street"))));
-    }
-
-    #[test]
-    fn indexed_discovery_matches_naive() {
-        let r = hotels_r6();
-        let s = r.schema();
-        let rhs = AttrSet::single(s.id("zip"));
-        let cfg = MdConfig::default();
-        let fast = discover(&r, rhs, &cfg);
-        let naive = discover_naive(&r, rhs, &cfg);
-        assert_eq!(fast.len(), naive.len());
-        for (a, b) in fast.iter().zip(&naive) {
-            assert_eq!(a.md, b.md);
-            assert_eq!(a.support, b.support);
-            assert_eq!(a.confidence, b.confidence);
-        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn discover_bounded(r: &Relation, cfg: &MvdConfig, exec: &Exec) -> Outcome<V
 }
 
 /// All subsets of `universe` with `1 ≤ |S| ≤ k`, ordered by size then bits.
-pub(crate) fn subsets_up_to(universe: AttrSet, k: usize) -> Vec<AttrSet> {
+pub fn subsets_up_to(universe: AttrSet, k: usize) -> Vec<AttrSet> {
     let attrs = universe.to_vec();
     let mut out: Vec<AttrSet> = Vec::new();
     let total = 1usize << attrs.len();

@@ -86,7 +86,7 @@ pub fn cluster(r: &Relation, mds: &[Md]) -> Clustering {
 /// of `c(c−1)/2`) produces the same connected components. Everything else
 /// streams candidates from the most selective
 /// [`deptree_core::pairs::best_index`]. Full (unbudgeted) results equal
-/// [`cluster_naive`]'s exactly.
+/// those of merging every MD-similar pair of a full pair scan exactly.
 pub fn cluster_bounded(r: &Relation, mds: &[Md], exec: &Exec) -> Outcome<Clustering> {
     let mut uf = UnionFind::new(r.n_rows());
     let mut span = exec.span("dedup.rules");
@@ -160,19 +160,10 @@ fn eq_lhs_partition(r: &Relation, md: &Md) -> Option<StrippedPartition> {
     Some(StrippedPartition::from_attrs(r, attrs))
 }
 
-/// Reference clustering over the full `O(n²)` pair scan; kept as the
-/// differential-test and benchmark baseline for [`cluster`].
-pub fn cluster_naive(r: &Relation, mds: &[Md]) -> Clustering {
-    let mut uf = UnionFind::new(r.n_rows());
-    for md in mds {
-        for (i, j) in md.matching_pairs_naive(r) {
-            uf.union(i, j);
-        }
-    }
-    canonicalize(&mut uf, r.n_rows())
-}
-
-fn canonicalize(uf: &mut UnionFind, n: usize) -> Clustering {
+/// The clustering a union–find over rows `0..n` describes: every row's
+/// cluster is named by its smallest row, so the labels depend only on the
+/// connected components, never on the order of the unions.
+pub fn canonicalize(uf: &mut UnionFind, n: usize) -> Clustering {
     let mut canon: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     let mut cluster = vec![0usize; n];
     for (row, slot) in cluster.iter_mut().enumerate() {
@@ -318,52 +309,6 @@ mod tests {
             }
         });
         assert!(partial.result.n_clusters >= full.n_clusters);
-    }
-
-    #[test]
-    fn indexed_cluster_matches_naive() {
-        // Covers the partition fast path (all-equality LHS), the edit
-        // distance index, and a multi-rule mix.
-        let r = hotels_r1();
-        let s = r.schema();
-        let eq_md = Md::new(
-            s,
-            vec![(s.id("region"), Metric::Equality, 0.0)],
-            AttrSet::single(s.id("name")),
-        );
-        let edit_md = Md::new(
-            s,
-            vec![(s.id("address"), Metric::Levenshtein, 4.0)],
-            AttrSet::single(s.id("name")),
-        );
-        let rule_sets: Vec<Vec<Md>> = vec![
-            vec![eq_md.clone()],
-            vec![edit_md.clone()],
-            vec![eq_md, edit_md],
-        ];
-        for mds in &rule_sets {
-            let fast = cluster(&r, mds);
-            let slow = cluster_naive(&r, mds);
-            assert_eq!(fast.cluster, slow.cluster);
-            assert_eq!(fast.n_clusters, slow.n_clusters);
-        }
-        let cfg = EntitiesConfig {
-            n_entities: 30,
-            max_duplicates: 3,
-            variety: 0.7,
-            error_rate: 0.1,
-            seed: 17,
-        };
-        let data = entities::generate(&cfg, &mut deptree_synth::rng(cfg.seed));
-        let s = data.relation.schema();
-        let mds = vec![Md::new(
-            s,
-            vec![(s.id("zip"), Metric::Equality, 0.0)],
-            AttrSet::single(s.id("name")),
-        )];
-        let fast = cluster(&data.relation, &mds);
-        let slow = cluster_naive(&data.relation, &mds);
-        assert_eq!(fast.cluster, slow.cluster);
     }
 
     #[test]

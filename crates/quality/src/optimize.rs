@@ -38,8 +38,12 @@ pub fn conjunctive_selectivity(
             joint: 0.0,
         };
     }
-    let sel =
-        |attr: AttrId, v: &Value| r.column(attr).iter().filter(|x| *x == v).count() as f64 / n;
+    let sel = |attr: AttrId, v: &Value| {
+        (0..r.n_rows())
+            .filter(|&row| r.value(row, attr) == v)
+            .count() as f64
+            / n
+    };
     let both = (0..r.n_rows())
         .filter(|&row| r.value(row, a) == va && r.value(row, b) == vb)
         .count() as f64

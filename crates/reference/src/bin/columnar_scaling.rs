@@ -1,21 +1,22 @@
 //! Columnar-core scaling: the dictionary-encoded column paths vs the
-//! frozen row-major reference paths (forced via
-//! [`deptree::relation::compat::force_row_major`]), on synthetic
-//! relations at 1M/3M/10M rows, for the four workloads the columnar
-//! refactor targets — stripped-partition construction, TANE level 1,
-//! MD equality/band blocking, and the sorted OD check.  Results
-//! (wall-clock, speedups, identity checks) are written to
-//! `BENCH_columnar.json`.
+//! row-major reference kernels of `deptree_reference` (grouping, blocking
+//! and ordering on materialized `Value` columns), on synthetic relations
+//! at 1M/3M/10M rows, for the workloads the columnar refactor targets —
+//! stripped-partition construction, MD equality/band blocking, and the
+//! sorted OD check — plus TANE level 1, which has no row-major twin and
+//! is timed on the columnar path alone.  Results (wall-clock, speedups,
+//! identity checks) are written to `BENCH_columnar.json`.
 //!
 //! ```sh
-//! cargo run --release --bin columnar_scaling             # 1M/3M/10M
-//! cargo run --release --bin columnar_scaling -- --smoke  # tiny, CI gate
+//! cargo run --release -p deptree-reference --bin columnar_scaling             # 1M/3M/10M
+//! cargo run --release -p deptree-reference --bin columnar_scaling -- --smoke  # tiny, CI gate
+//! cargo run --release -p deptree-reference --bin columnar_scaling -- --kernels
 //! ```
 //!
-//! Every columnar result is asserted byte-identical to its row-major
+//! Every columnar result is asserted identical to its row-major
 //! baseline; the run aborts on any mismatch.  Row-major baselines above
-//! [`ROW_MAJOR_CAP`] rows are skipped (recorded as `null`): the legacy
-//! path materializes every cell as a boxed [`Value`], and a 10M-row
+//! [`ROW_MAJOR_CAP`] rows are skipped (recorded as `null`): they
+//! materialize every cell as a boxed [`Value`], and a 10M-row
 //! materialization exists only to be avoided.  In full mode the run
 //! additionally enforces the acceptance floors: ≥3× on partition build
 //! and ≥2× on MD blocking at 1M rows.
@@ -27,23 +28,23 @@
 //! peak and the resident allocation of the interned path must come in
 //! below the row-materializing replica.
 
-use deptree::core::{Dependency, Direction, Od};
-use deptree::discovery::tane::{self, TaneConfig};
-use deptree::relation::compat;
-use deptree::relation::pairgen::{band_pairs_sorted, PairIndex, PairSpec};
-use deptree::relation::{
+use deptree_core::{Dependency, Direction, Od};
+use deptree_discovery::tane::{self, TaneConfig};
+use deptree_reference as reference;
+use deptree_relation::pairgen::{band_pairs_sorted, PairIndex, PairSpec};
+use deptree_relation::{
     parse_csv_lossy, AttrId, Column, ProductScratch, Relation, Schema, StrippedPartition, Value,
     ValueType,
 };
-use deptree::synth::Rng;
+use deptree_synth::Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::time::Instant;
 
-/// Largest size the row-major baselines run at: the legacy path clones
-/// every cell into a `Vec<Value>`, which at 10M rows is pure ballast.
+/// Largest size the row-major baselines run at: they clone every cell
+/// into a `Vec<Value>`, which at 10M rows is pure ballast.
 const ROW_MAJOR_CAP: usize = 3_000_000;
 
 // ---------------------------------------------------------------------
@@ -145,7 +146,7 @@ fn main() {
         let rel = workload_relation(n);
         let mut obj = format!("    {{\n      \"rows\": {n}");
         let p = bench_partition(&rel, n, &mut obj);
-        bench_tane(&rel, n, &mut obj);
+        bench_tane(&rel, &mut obj);
         let m = bench_md_blocking(&rel, n, &mut obj);
         bench_od(&rel, n, &mut obj);
         let _ = write!(obj, ",\n      \"relation_bytes\": {}", rel.approx_bytes());
@@ -173,7 +174,7 @@ fn main() {
     );
     if smoke {
         println!("{json}");
-        println!("smoke: columnar ≡ row-major on every workload; interned parse allocates less");
+        println!("smoke: columnar ≡ reference on every workload; interned parse allocates less");
     } else {
         for (name, got, floor) in &floors {
             if got < floor {
@@ -271,13 +272,14 @@ fn workload_relation(n: usize) -> Relation {
     rel
 }
 
-/// Materialize the legacy `Vec<Value>` views so row-major timings measure
-/// the algorithm, not the compatibility shim (the pre-columnar relation
+/// Materialize `Vec<Value>` columns up front so row-major timings measure
+/// the algorithm, not the materialization (the pre-columnar relation
 /// stored these vectors natively).
-fn prewarm_row_major(rel: &Relation) {
-    for a in rel.schema().ids() {
-        let _ = rel.column(a);
-    }
+fn value_columns(rel: &Relation, attrs: &[AttrId]) -> Vec<Vec<Value>> {
+    attrs
+        .iter()
+        .map(|&a| reference::relation::column(rel, a))
+        .collect()
 }
 
 fn attr(rel: &Relation, name: &str) -> AttrId {
@@ -286,8 +288,8 @@ fn attr(rel: &Relation, name: &str) -> AttrId {
 
 fn bench_partition(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
     let attrs = [attr(rel, "key"), attr(rel, "grp")];
-    // Each timed run is preceded by an identical untimed pass in the same
-    // mode, so neither side pays first-touch page faults or cold-allocator
+    // Each timed run is preceded by an identical untimed pass on the same
+    // path, so neither side pays first-touch page faults or cold-allocator
     // costs inside its measurement window.
     for &a in &attrs {
         let _ = StrippedPartition::from_column(rel, a);
@@ -299,30 +301,32 @@ fn bench_partition(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
         .collect();
     let columnar_ms = ms(t0.elapsed());
     let row_major_ms = (n <= ROW_MAJOR_CAP).then(|| {
-        prewarm_row_major(rel);
-        let guard = compat::force_row_major();
-        for &a in &attrs {
-            let _ = StrippedPartition::from_column(rel, a);
+        let cols = value_columns(rel, &attrs);
+        for col in &cols {
+            let _ = reference::relation::column_partition(col);
         }
         let t0 = Instant::now();
-        let slow: Vec<StrippedPartition> = attrs
+        let slow: Vec<Vec<Vec<usize>>> = cols
             .iter()
-            .map(|&a| StrippedPartition::from_column(rel, a))
+            .map(|col| reference::relation::column_partition(col))
             .collect();
         let elapsed = ms(t0.elapsed());
-        drop(guard);
-        assert_eq!(fast, slow, "columnar partitions differ from row-major");
+        for (f, s) in fast.iter().zip(&slow) {
+            assert_eq!(
+                f.classes(),
+                &s[..],
+                "columnar partitions differ from row-major"
+            );
+        }
         elapsed
     });
     print_line("partition_build", row_major_ms, columnar_ms);
     push_metric(obj, "partition_build", row_major_ms, columnar_ms)
 }
 
-fn render_fds(res: &tane::TaneResult) -> Vec<String> {
-    res.fds.iter().map(|fd| fd.to_string()).collect()
-}
-
-fn bench_tane(rel: &Relation, n: usize, obj: &mut String) {
+/// TANE level 1 on the columnar path; there is no row-major TANE to time
+/// against, so only the columnar wall clock is recorded.
+fn bench_tane(rel: &Relation, obj: &mut String) {
     let cfg = TaneConfig {
         max_lhs: 1,
         max_error: 0.0,
@@ -331,24 +335,12 @@ fn bench_tane(rel: &Relation, n: usize, obj: &mut String) {
     let t0 = Instant::now();
     let fast = tane::discover(rel, &cfg);
     let columnar_ms = ms(t0.elapsed());
-    let row_major_ms = (n <= ROW_MAJOR_CAP).then(|| {
-        prewarm_row_major(rel);
-        let guard = compat::force_row_major();
-        let _ = tane::discover(rel, &cfg);
-        let t0 = Instant::now();
-        let slow = tane::discover(rel, &cfg);
-        let elapsed = ms(t0.elapsed());
-        drop(guard);
-        assert_eq!(
-            render_fds(&fast),
-            render_fds(&slow),
-            "columnar TANE level-1 differs from row-major"
-        );
-        elapsed
-    });
-    print_line("tane_level1", row_major_ms, columnar_ms);
-    push_metric(obj, "tane_level1", row_major_ms, columnar_ms);
-    let _ = write!(obj, ",\n      \"tane_fds\": {}", fast.fds.len());
+    println!("  {:<15}: columnar {columnar_ms:9.1}ms", "tane_level1");
+    let _ = write!(
+        obj,
+        ",\n      \"tane_level1_ms\": {columnar_ms:.3},\n      \"tane_fds\": {}",
+        fast.fds.len()
+    );
 }
 
 fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> {
@@ -365,21 +357,24 @@ fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> 
         .collect();
     let columnar_ms = ms(t0.elapsed());
     let row_major_ms = (n <= ROW_MAJOR_CAP).then(|| {
-        prewarm_row_major(rel);
-        let guard = compat::force_row_major();
-        for &(a, spec) in &specs {
-            let _ = PairIndex::build_attr(rel, a, spec);
-        }
+        let cols = value_columns(rel, &[key, lo]);
+        let build = || -> Vec<reference::pairgen::PairBlocks> {
+            cols.iter()
+                .zip(&specs)
+                .map(|(col, &(_, spec))| reference::pairgen::build(col, spec))
+                .collect()
+        };
+        let _ = build();
         let t0 = Instant::now();
-        let slow: Vec<PairIndex> = specs
-            .iter()
-            .map(|&(a, spec)| PairIndex::build_attr(rel, a, spec))
-            .collect();
+        let slow = build();
         let elapsed = ms(t0.elapsed());
-        drop(guard);
         for (f, s) in fast.iter().zip(&slow) {
-            assert_eq!(f.classes(), s.classes(), "columnar blocking classes differ");
-            assert_eq!(f.links(), s.links(), "columnar blocking links differ");
+            assert_eq!(
+                f.classes(),
+                &s.classes[..],
+                "columnar blocking classes differ"
+            );
+            assert_eq!(f.links(), &s.links[..], "columnar blocking links differ");
         }
         elapsed
     });
@@ -389,29 +384,27 @@ fn bench_md_blocking(rel: &Relation, n: usize, obj: &mut String) -> Option<f64> 
 
 fn bench_od(rel: &Relation, n: usize, obj: &mut String) {
     let s = rel.schema();
-    let holds = Od::new(
-        s,
-        vec![(s.id("lo"), Direction::Asc)],
-        vec![(s.id("hi"), Direction::Asc)],
-    );
-    let broken = Od::new(
-        s,
-        vec![(s.id("key"), Direction::Asc)],
-        vec![(s.id("grp"), Direction::Asc)],
-    );
+    let (lo, hi, key, grp) = (s.id("lo"), s.id("hi"), s.id("key"), s.id("grp"));
+    let holds = Od::new(s, vec![(lo, Direction::Asc)], vec![(hi, Direction::Asc)]);
+    let broken = Od::new(s, vec![(key, Direction::Asc)], vec![(grp, Direction::Asc)]);
     let _ = (holds.holds(rel), broken.holds(rel));
     let t0 = Instant::now();
     let fast = (holds.holds(rel), broken.holds(rel));
     let columnar_ms = ms(t0.elapsed());
     assert!(fast.0, "monotone OD must hold on the workload");
     let row_major_ms = (n <= ROW_MAJOR_CAP).then(|| {
-        prewarm_row_major(rel);
-        let guard = compat::force_row_major();
-        let _ = (holds.holds(rel), broken.holds(rel));
+        let cols = value_columns(rel, &[lo, hi, key, grp]);
+        let check = || {
+            let asc = Direction::Asc;
+            (
+                reference::od::holds_sorted(&cols[0], asc, &cols[1], asc),
+                reference::od::holds_sorted(&cols[2], asc, &cols[3], asc),
+            )
+        };
+        let _ = check();
         let t0 = Instant::now();
-        let slow = (holds.holds(rel), broken.holds(rel));
+        let slow = check();
         let elapsed = ms(t0.elapsed());
-        drop(guard);
         assert_eq!(fast, slow, "columnar OD verdicts differ from row-major");
         elapsed
     });
@@ -533,7 +526,7 @@ fn alloc_gate() -> String {
 }
 
 // ---------------------------------------------------------------------
-// Code-native kernel suite: the four u32-code kernels vs in-binary
+// Code-native kernel suite: the three u32-code kernels vs in-binary
 // replicas of the paths they replaced (see DESIGN.md §14).  Every kernel
 // result is asserted identical to its replica; `--kernels` (full mode)
 // writes BENCH_kernels.json and enforces the ≥2× floors on the two
@@ -570,7 +563,7 @@ fn run_kernels(smoke: bool) {
     println!("wrote BENCH_kernels.json");
 }
 
-/// Run all four kernel benches on the kernel workload; returns the JSON
+/// Run all three kernel benches on the kernel workload; returns the JSON
 /// object and the `(name, speedup, floor)` list for full-mode gating.
 fn kernel_suite(n: usize) -> (String, Vec<(String, f64, f64)>) {
     let rel = kernel_relation(n);
@@ -582,24 +575,20 @@ fn kernel_suite(n: usize) -> (String, Vec<(String, f64, f64)>) {
     let s = bench_kernel_edit(&rel, &mut obj);
     floors.push(("edit_index".to_string(), s, 2.0));
     obj.push(',');
-    bench_kernel_packed(&rel, &mut obj);
-    obj.push(',');
     bench_kernel_band(n, &mut obj);
     obj.push('}');
     (obj, floors)
 }
 
 /// Kernel workload: `pa`/`pb` are the partition-product pair (1009 × 601
-/// int codes — a combined domain that fits the radix gate), `cat` a
-/// 13-value column whose codes pack into 4-bit lanes, and `txt` a pool of
-/// distinct strings (≈ n/33, capped at 30k, length 12–20 over a wide
+/// int codes — a combined domain that fits the radix gate), and `txt` a
+/// pool of distinct strings (≈ n/33, capped at 30k, length 12–20 over a wide
 /// codepoint alphabet so q-gram collisions stay below the link cap)
 /// repeated across rows — the distinct-value edit-index shape.
 fn kernel_relation(n: usize) -> Relation {
     let schema = Schema::from_attrs(vec![
         ("pa", ValueType::Numeric),
         ("pb", ValueType::Numeric),
-        ("cat", ValueType::Text),
         ("txt", ValueType::Text),
     ]);
     let mut rel = match Relation::empty(schema) {
@@ -623,13 +612,11 @@ fn kernel_relation(n: usize) -> Relation {
                 .collect()
         })
         .collect();
-    let cats: Vec<String> = (0..13).map(|c| format!("cat_{c:02}")).collect();
     for i in 0..n {
         let row_ok = rel
             .push_row(vec![
                 Value::Int((i % 1009) as i64),
                 Value::Int(((i * 7) % 601) as i64),
-                Value::Str(cats[i % 13].clone()),
                 Value::Str(pool[(i * 2_654_435_761) % distinct].clone()),
             ])
             .is_ok();
@@ -662,7 +649,7 @@ fn push_kernel(
 
 /// Radix partition product (counting over dense codes, no right-parent
 /// materialization) vs the memoized probe-table product over pre-built
-/// parent partitions — the PR 7 cache path with the parent build already
+/// parent partitions — the pre-kernel cache path with the parent build already
 /// paid.
 fn bench_kernel_product(rel: &Relation, obj: &mut String) -> f64 {
     let a = attr(rel, "pa");
@@ -687,43 +674,43 @@ fn bench_kernel_product(rel: &Relation, obj: &mut String) -> f64 {
 }
 
 /// Distinct-value q-gram edit index (flat u64 grams, vec candidates) vs a
-/// replica of the PR 7 builder: same distinct-value classing, but BTreeSet
+/// replica of the pre-kernel builder: same distinct-value classing, but BTreeSet
 /// gram/candidate bookkeeping and char-tuple postings.
 fn bench_kernel_edit(rel: &Relation, obj: &mut String) -> f64 {
     let txt = attr(rel, "txt");
     const K: usize = 2;
-    let _ = edit_index_pr7(rel.col(txt), K);
+    let _ = edit_index_pre_kernel(rel.col(txt), K);
     let t0 = Instant::now();
-    let reference = edit_index_pr7(rel.col(txt), K);
+    let reference = edit_index_pre_kernel(rel.col(txt), K);
     let baseline_ms = ms(t0.elapsed());
     let _ = PairIndex::build_attr(rel, txt, PairSpec::Edit(K));
     let t0 = Instant::now();
     let fast = PairIndex::build_attr(rel, txt, PairSpec::Edit(K));
     let kernel_ms = ms(t0.elapsed());
     let Some((classes, links)) = reference else {
-        eprintln!("error: PR 7 edit replica overflowed its link cap; retune the workload");
+        eprintln!("error: pre-kernel edit replica overflowed its link cap; retune the workload");
         std::process::exit(4);
     };
     assert!(fast.is_indexed(), "edit kernel fell back to the full scan");
     assert_eq!(
         fast.classes(),
         &classes[..],
-        "edit classes differ from PR 7 replica"
+        "edit classes differ from pre-kernel replica"
     );
     assert_eq!(
         fast.links(),
         &links[..],
-        "edit links differ from PR 7 replica"
+        "edit links differ from pre-kernel replica"
     );
     push_kernel(obj, "edit_index", baseline_ms, kernel_ms, Some(2.0))
 }
 
-/// The PR 7 distinct-value edit builder, reproduced: classes keyed on
+/// The pre-kernel distinct-value edit builder, reproduced: classes keyed on
 /// rendered text, `BTreeSet<(char, char)>` grams, `BTreeSet<usize>`
 /// candidates, char-tuple postings.  Returns `None` past the link cap
 /// (where the real builder degrades to a full scan).
 #[allow(clippy::type_complexity)]
-fn edit_index_pr7(col: &Column, k: usize) -> Option<(Vec<Vec<usize>>, Vec<(usize, usize)>)> {
+fn edit_index_pre_kernel(col: &Column, k: usize) -> Option<(Vec<Vec<usize>>, Vec<(usize, usize)>)> {
     const NO_CLASS: u32 = u32::MAX;
     let dict = col.dict();
     let mut class_of: Vec<u32> = vec![NO_CLASS; dict.len()];
@@ -789,44 +776,7 @@ fn edit_index_pr7(col: &Column, k: usize) -> Option<(Vec<Vec<usize>>, Vec<(usize
     Some((classes, links))
 }
 
-/// Bit-packed code lanes vs the plain u32 code vector on the counting
-/// pass every partition build starts with — the bandwidth the packing
-/// exists to save.  No floor: the win is memory-bound and machine-sized.
-fn bench_kernel_packed(rel: &Relation, obj: &mut String) {
-    let col = rel.col(attr(rel, "cat"));
-    let d = col.dict().len();
-    let Some(packed) = col.packed_codes() else {
-        eprintln!("error: kernel `cat` column refused to bit-pack");
-        std::process::exit(4);
-    };
-    let count_plain = |codes: &[u32]| {
-        let mut counts = vec![0u32; d];
-        for &c in codes {
-            counts[c as usize] += 1;
-        }
-        counts
-    };
-    let count_packed = || {
-        let mut counts = vec![0u32; d];
-        for code in packed.iter() {
-            counts[code as usize] += 1;
-        }
-        counts
-    };
-    let plain = count_plain(col.codes());
-    let bits = count_packed();
-    let baseline_ms = time_min_ms(9, || count_plain(col.codes()));
-    let kernel_ms = time_min_ms(9, count_packed);
-    assert_eq!(plain, bits, "packed code counts differ from plain codes");
-    assert_eq!(
-        packed.width_bits(),
-        4,
-        "13-value dictionary must take 4-bit lanes"
-    );
-    push_kernel(obj, "packed_code_count", baseline_ms, kernel_ms, None);
-}
-
-/// Vectorized band probe (8-lane compare-mask burst advance) vs the PR 7
+/// Vectorized band probe (8-lane compare-mask burst advance) vs the pre-kernel
 /// scalar two-pointer sweep over the same sorted values. Clustered values
 /// (the common shape of real numeric columns: dense runs separated by
 /// gaps) make the low pointer sprint across each gap — exactly the case

@@ -6,9 +6,9 @@
 //! written to `BENCH_pairwise.json`.
 //!
 //! ```sh
-//! cargo run --release --bin pairwise_scaling             # 10k/50k/100k
-//! cargo run --release --bin pairwise_scaling -- --smoke  # tiny, CI gate
-//! cargo run --release --bin pairwise_scaling -- --smoke --trace-out spans.jsonl
+//! cargo run --release -p deptree-reference --bin pairwise_scaling             # 10k/50k/100k
+//! cargo run --release -p deptree-reference --bin pairwise_scaling -- --smoke  # tiny, CI gate
+//! cargo run --release -p deptree-reference --bin pairwise_scaling -- --smoke --trace-out spans.jsonl
 //! ```
 //!
 //! `--trace-out` attaches a tracer to the timed indexed runs and writes
@@ -18,20 +18,22 @@
 //! (and identical at 1 vs 8 threads); the run aborts on any mismatch.
 //! Naive baselines above [`NAIVE_CAP`] rows are skipped (recorded as
 //! `null`): a 100k-row naive scan is 5·10⁹ pairs and exists only to be
-//! avoided.  The FASTDC baseline at 50k is [`dc::evidence_sets_grouped`]
-//! — itself a full Θ(n²) pair scan, just with bitwise predicate reuse —
-//! while the plain per-predicate scan is additionally timed up to
-//! [`PLAIN_DC_CAP`] rows.
+//! avoided.  The FASTDC baseline at 50k is
+//! [`deptree_reference::dc::evidence_sets_grouped`] — itself a full Θ(n²)
+//! pair scan, just with bitwise predicate reuse — while the plain
+//! per-predicate scan is additionally timed up to [`PLAIN_DC_CAP`] rows.
+//! The naive baselines are the `deptree_reference` oracles.
 
-use deptree::core::engine::obs::Tracer;
-use deptree::core::engine::Exec;
-use deptree::core::Md;
-use deptree::discovery::dc::{self, FastDcStats};
-use deptree::discovery::md::{self, MdConfig};
-use deptree::metrics::Metric;
-use deptree::quality::dedup;
-use deptree::relation::{AttrSet, Relation, RelationBuilder, Value, ValueType};
-use deptree::synth::{entities, EntitiesConfig};
+use deptree_core::engine::obs::Tracer;
+use deptree_core::engine::Exec;
+use deptree_core::Md;
+use deptree_discovery::dc::{self, FastDcStats};
+use deptree_discovery::md::{self, MdConfig};
+use deptree_metrics::Metric;
+use deptree_quality::dedup;
+use deptree_reference as reference;
+use deptree_relation::{AttrSet, Relation, RelationBuilder, Value, ValueType};
+use deptree_synth::{entities, EntitiesConfig};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,7 +81,7 @@ fn main() {
     );
     if smoke {
         println!("{json}");
-        println!("smoke: indexed ≡ naive on every workload");
+        println!("smoke: indexed ≡ reference on every workload");
     } else {
         if let Err(e) = std::fs::write("BENCH_pairwise.json", &json) {
             eprintln!("error: cannot write BENCH_pairwise.json: {e}");
@@ -176,7 +178,7 @@ fn bench_md(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
     );
     let naive_ms = (n <= NAIVE_CAP).then(|| {
         let t0 = Instant::now();
-        let slow = md::discover_naive(&r, rhs, &cfg);
+        let slow = reference::md::discover(&r, rhs, &cfg);
         let elapsed = ms(t0.elapsed());
         assert_eq!(
             render_mds(&fast),
@@ -222,7 +224,7 @@ fn bench_dc(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
     let naive_ms = (n <= NAIVE_CAP).then(|| {
         let mut gstats = FastDcStats::default();
         let t0 = Instant::now();
-        let grouped = dc::evidence_sets_grouped(&r, &preds, &mut gstats);
+        let grouped = reference::dc::evidence_sets_grouped(&r, &preds, &mut gstats);
         let elapsed = ms(t0.elapsed());
         assert_eq!(blocked, grouped, "blocked DC evidence differs from naive");
         assert_eq!(stats.pairs_evaluated, gstats.pairs_evaluated);
@@ -231,7 +233,7 @@ fn bench_dc(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
     let plain_ms = (n <= PLAIN_DC_CAP).then(|| {
         let mut pstats = FastDcStats::default();
         let t0 = Instant::now();
-        let plain = dc::evidence_sets(&r, &preds, &mut pstats);
+        let plain = reference::dc::evidence_sets(&r, &preds, &mut pstats);
         let elapsed = ms(t0.elapsed());
         assert_eq!(blocked, plain, "blocked DC evidence differs from plain");
         elapsed
@@ -257,7 +259,7 @@ fn bench_dedup(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
         error_rate: 0.02,
         seed: 20260806,
     };
-    let data = entities::generate(&cfg, &mut deptree::synth::rng(cfg.seed));
+    let data = entities::generate(&cfg, &mut deptree_synth::rng(cfg.seed));
     let r = &data.relation;
     let s = r.schema();
     let mds = vec![
@@ -282,7 +284,7 @@ fn bench_dedup(n: usize, obj: &mut String, tracer: Option<&Arc<Tracer>>) {
     );
     let naive_ms = (r.n_rows() <= NAIVE_CAP).then(|| {
         let t0 = Instant::now();
-        let slow = dedup::cluster_naive(r, &mds);
+        let slow = reference::dedup::cluster(r, &mds);
         let elapsed = ms(t0.elapsed());
         assert_eq!(
             fast.cluster, slow.cluster,

@@ -230,20 +230,17 @@ impl PartitionCache {
                 // (recursively) from the cache, so a warm level costs one
                 // product. The product itself picks a strategy: the radix
                 // kernel splits the left parent directly on `a`'s code
-                // vector; when the dictionary is too wide for it (or
-                // row-major compat is forced), fall back to materializing
-                // `π_a` and the probe-table product. Both strategies are
-                // byte-identical by construction and by property test.
+                // vector; when the dictionary is too wide for it, fall back
+                // to materializing `π_a` and the probe-table product. Both
+                // strategies are byte-identical by construction and by
+                // property test.
                 let Some(split) = attrs.max() else {
                     return (Arc::new(StrippedPartition::identity(r.n_rows())), delta);
                 };
                 let (left, d1) = self.get_or_compute(r, attrs.remove(split));
                 delta = delta.merge(d1);
-                let radix = if crate::compat::row_major() {
-                    None
-                } else {
-                    SCRATCH.with(|s| left.product_with_column(r.col(split), &mut s.borrow_mut()))
-                };
+                let radix =
+                    SCRATCH.with(|s| left.product_with_column(r.col(split), &mut s.borrow_mut()));
                 match radix {
                     Some(p) => {
                         self.radix_products.fetch_add(1, Ordering::Relaxed);
@@ -377,7 +374,7 @@ mod tests {
     use super::*;
     use crate::relation::RelationBuilder;
     use crate::schema::ValueType;
-    use crate::AttrId;
+    use crate::{AttrId, Value};
 
     fn rel() -> Relation {
         RelationBuilder::new()
@@ -469,7 +466,6 @@ mod tests {
 
     #[test]
     fn product_strategy_counters_track_paths() {
-        let _mode = crate::compat::test_mode_lock();
         let r = rel();
         let cache = PartitionCache::new();
         let (p, _) = cache.get_or_compute(&r, ids(&[0, 1]));
@@ -478,16 +474,27 @@ mod tests {
             (1, 0),
             "tiny dictionaries take the radix kernel"
         );
-        let row_major = crate::compat::force_row_major();
-        let rm_cache = PartitionCache::new();
-        let (q, _) = rm_cache.get_or_compute(&r, ids(&[0, 1]));
-        drop(row_major);
+        assert_eq!(*p, StrippedPartition::from_attrs(&r, ids(&[0, 1])));
+        // Orphaned dictionary entries widen `c` past both radix gates
+        // (the product's `4·covered + 1024` and from_attrs' `4·n + 4096`)
+        // without changing a single cell.
+        let mut wide = rel();
+        let c = AttrId(2);
+        let kept = wide.value(0, c).clone();
+        for i in 0..5000 {
+            wide.set_value(0, c, Value::Str(format!("orphan {i}")));
+        }
+        wide.set_value(0, c, kept);
+        assert_eq!(wide, r, "orphans leave the cells untouched");
+        let wide_cache = PartitionCache::new();
+        let (q, _) = wide_cache.get_or_compute(&wide, ids(&[0, 2]));
         assert_eq!(
-            (rm_cache.radix_products(), rm_cache.hash_products()),
+            (wide_cache.radix_products(), wide_cache.hash_products()),
             (0, 1),
-            "row-major compat forces the probe-table fallback"
+            "a dictionary wider than the radix gates takes the probe-table product"
         );
-        assert_eq!(*p, *q, "both strategies produce the same partition");
+        assert_eq!(*q, StrippedPartition::from_attrs(&r, ids(&[0, 2])));
+        assert_eq!(*q, StrippedPartition::from_attrs(&wide, ids(&[0, 2])));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::column::Column;
-use crate::{AttrId, Relation, StrippedPartition, Value};
+use crate::{AttrId, Relation, StrippedPartition};
 
 /// Seedless single-pass hasher for the edit-index tables: one Fibonacci
 /// multiply for packed u64 grams, FNV-1a for byte streams. Deterministic
@@ -148,35 +148,19 @@ pub struct PairIndex {
 }
 
 impl PairIndex {
-    /// Build an index over a column for a predicate class.
+    /// Build an index over a relation attribute for a predicate class,
+    /// keyed on dictionary codes: equality classes come straight from the
+    /// code vector, band sweeps sort one value per *distinct* code, and
+    /// the edit index renders each distinct value once instead of once per
+    /// row. Classes are created in first-row order, so classes, links and
+    /// candidate enumeration are a pure function of the column's cells.
     ///
     /// Completeness contract: every row pair `(i, j)` with `i < j` whose
     /// values match under `spec` is generated by
     /// [`PairIndex::for_each_candidate`].  For [`PairSpec::All`] (and for
     /// indexes that blow past the internal link cap) this degenerates to the
     /// full scan.
-    pub fn build(col: &[Value], spec: PairSpec) -> Self {
-        match spec {
-            PairSpec::Eq => Self::build_eq(col),
-            PairSpec::Band(theta) => Self::build_band(col, theta),
-            PairSpec::Edit(k) => Self::build_edit(col, k),
-            PairSpec::Empty => Self::empty(col.len()),
-            PairSpec::All => Self::full_scan(col.len()),
-        }
-    }
-
-    /// [`PairIndex::build`] over a relation attribute, keyed on dictionary
-    /// codes: equality classes come straight from the code vector, band
-    /// sweeps sort one value per *distinct* code, and the edit index
-    /// renders each distinct value once instead of once per row. Class
-    /// construction visits rows in order, so classes, links and candidate
-    /// enumeration are identical to the `Value`-slice builder — which
-    /// remains the row-major reference, reachable via
-    /// [`crate::compat::force_row_major`].
     pub fn build_attr(rel: &Relation, attr: AttrId, spec: PairSpec) -> Self {
-        if crate::compat::row_major() {
-            return Self::build(rel.column(attr), spec);
-        }
         let col = rel.col(attr);
         match spec {
             PairSpec::Eq => Self::build_eq_codes(col),
@@ -255,10 +239,6 @@ impl PairIndex {
         idx
     }
 
-    fn build_eq(col: &[Value]) -> Self {
-        Self::finish(structural_classes(col), Vec::new(), true, col.len())
-    }
-
     fn build_eq_codes(col: &Column) -> Self {
         Self::finish(code_classes(col), Vec::new(), true, col.len())
     }
@@ -267,9 +247,11 @@ impl PairIndex {
         if theta.is_nan() || theta < 0.0 {
             return Self::empty(col.len());
         }
-        // Mirrors `build_band`: structural classes in first-appearance
-        // order, rows with non-finite numeric values dropped entirely.
-        // Membership decisions are made once per dictionary code.
+        // Structural classes in first-appearance order, excluding
+        // non-finite numerics: |x−y| is NaN or +∞ whenever either side
+        // is, so those rows match nothing at all — not even structurally
+        // equal copies of themselves. Membership decisions are made once
+        // per dictionary code.
         const NO_CLASS: u32 = u32::MAX;
         let dict = col.dict();
         let mut class_of: Vec<u32> = vec![NO_CLASS; dict.len()];
@@ -298,6 +280,9 @@ impl PairIndex {
             .enumerate()
             .filter_map(|(c, &code)| Some((dict[code as usize].as_f64()?, c)))
             .collect();
+        // Two-pointer sweep over the numeric classes sorted by value: classes
+        // a < b are linked iff their value gap is ≤ θ, which is exactly the
+        // AbsDiff predicate on their (constant) member values.
         nums.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let cap = link_cap(col.len());
         let mut links = Vec::new();
@@ -318,13 +303,14 @@ impl PairIndex {
     }
 
     fn build_edit_codes(col: &Column, k: usize) -> Self {
-        // Same classes as `build_edit` — keyed on *rendered* text, so
-        // distinct codes can share a class (`Int(10)` and `Str("10")`
-        // render alike) — but built per *distinct dictionary entry*: two
-        // row passes (count, then fill into exact-capacity classes) and
-        // one render per live code. Class creation follows the first live
-        // row of each code, so class order, content and the downstream
-        // gram links are identical to the per-row reference builder.
+        // Classes of identical rendered strings (distance 0), plus one
+        // class for nulls (null/null distance is 0, null/string is ∞).
+        // Keyed on *rendered* text, so distinct codes can share a class
+        // (`Int(10)` and `Str("10")` render alike), but built per
+        // *distinct dictionary entry*: two row passes (count, then fill
+        // into exact-capacity classes) and one render per live code. Class
+        // creation follows the first live row of each code, so class order
+        // and content are those of a per-row build.
         const NO_CLASS: u32 = u32::MAX;
         let dict = col.dict();
         // Pass 1: first-seen live codes (in first-row order) + row counts.
@@ -369,78 +355,9 @@ impl PairIndex {
         idx
     }
 
-    fn build_band(col: &[Value], theta: f64) -> Self {
-        // A negative (or NaN) band matches nothing: even null/null pairs sit
-        // at distance 0, which is not ≤ θ.
-        if theta.is_nan() || theta < 0.0 {
-            return Self::empty(col.len());
-        }
-        // Structural classes, excluding non-finite numerics: |x−y| is NaN or
-        // +∞ whenever either side is, so those rows match nothing at all —
-        // not even structurally equal copies of themselves.
-        let mut by_value: HashMap<&Value, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        for (row, v) in col.iter().enumerate() {
-            if matches!(v.as_f64(), Some(x) if !x.is_finite()) {
-                continue;
-            }
-            let cls = *by_value.entry(v).or_insert_with(|| {
-                classes.push(Vec::new());
-                classes.len() - 1
-            });
-            classes[cls].push(row);
-        }
-        // Two-pointer sweep over the numeric classes sorted by value: classes
-        // a < b are linked iff their value gap is ≤ θ, which is exactly the
-        // AbsDiff predicate on their (constant) member values.
-        let mut nums: Vec<(f64, usize)> = classes
-            .iter()
-            .enumerate()
-            .filter_map(|(c, rows)| {
-                let v = col[rows[0]].as_f64()?;
-                Some((v, c))
-            })
-            .collect();
-        nums.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let cap = link_cap(col.len());
-        let mut links = Vec::new();
-        let mut lo = 0usize;
-        for hi in 0..nums.len() {
-            while nums[hi].0 - nums[lo].0 > theta {
-                lo += 1;
-            }
-            for k in lo..hi {
-                let (a, b) = (nums[k].1, nums[hi].1);
-                links.push((a.min(b), a.max(b)));
-                if links.len() > cap {
-                    return Self::full_scan(col.len());
-                }
-            }
-        }
-        Self::finish(classes, links, true, col.len())
-    }
-
-    fn build_edit(col: &[Value], k: usize) -> Self {
-        // Classes of identical rendered strings (distance 0), plus one class
-        // for nulls (null/null distance is 0, null/string is ∞).  Cross-class
-        // candidates come from a q-gram inverted index with a length filter.
-        let mut by_key: HashMap<Option<String>, usize> = HashMap::new();
-        let mut classes: Vec<Vec<usize>> = Vec::new();
-        let mut texts: Vec<Option<Vec<char>>> = Vec::new();
-        for (row, v) in col.iter().enumerate() {
-            let key = (!v.is_null()).then(|| v.render().into_owned());
-            let cls = *by_key.entry(key).or_insert_with(|| {
-                classes.push(Vec::new());
-                texts.push((!v.is_null()).then(|| v.render().chars().collect()));
-                classes.len() - 1
-            });
-            classes[cls].push(row);
-        }
-        Self::finish_edit(classes, texts, k, col.len())
-    }
-
-    /// Shared tail of the edit-distance builders: q-gram prefix-filter
-    /// linking over rendered-text classes.
+    /// Tail of the edit-distance builder: q-gram prefix-filter linking over
+    /// rendered-text classes. Cross-class candidates come from a q-gram
+    /// inverted index with a length filter.
     fn finish_edit(
         classes: Vec<Vec<usize>>,
         texts: Vec<Option<Vec<char>>>,
@@ -562,8 +479,7 @@ impl PairIndex {
 
     /// Rows whose q-gram indexing was served by an already-indexed distinct
     /// dictionary entry (the repeated-string win of the distinct-value edit
-    /// builder). 0 for every other index kind and for the row-major
-    /// reference builder.
+    /// builder). 0 for every other index kind.
     pub fn distinct_gram_hits(&self) -> u64 {
         self.distinct_gram_hits
     }
@@ -654,31 +570,15 @@ impl PairIndex {
     }
 }
 
-/// Structural-equality classes of a column, ordered by first row, rows
-/// ascending within each class.  All rows are covered (singletons included).
-fn structural_classes(col: &[Value]) -> Vec<Vec<usize>> {
-    let mut by_value: HashMap<&Value, usize> = HashMap::new();
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for (row, v) in col.iter().enumerate() {
-        let cls = *by_value.entry(v).or_insert_with(|| {
-            classes.push(Vec::new());
-            classes.len() - 1
-        });
-        classes[cls].push(row);
-    }
-    classes
-}
-
-/// [`structural_classes`] from dictionary codes: no `Value` hashing, one
-/// array slot per code.  Identical output — a code *is* a structural-
-/// equality class id, and both walks visit rows in ascending order.
-/// Narrow dictionaries stream the bit-packed code view instead of the
-/// `u32` vector; the decoded codes are identical.
+/// Structural-equality classes of a column from its dictionary codes, ordered
+/// by first row, rows ascending within each class.  All rows are covered
+/// (singletons included).  A code *is* a structural-equality class id, so no
+/// `Value` is hashed.
 fn code_classes(col: &Column) -> Vec<Vec<usize>> {
     const NO_CLASS: u32 = u32::MAX;
     let mut class_of: Vec<u32> = vec![NO_CLASS; col.dict().len()];
     let mut classes: Vec<Vec<usize>> = Vec::new();
-    let mut classify = |row: usize, code: u32| {
+    for (row, &code) in col.codes().iter().enumerate() {
         let cls = if class_of[code as usize] != NO_CLASS {
             class_of[code as usize] as usize
         } else {
@@ -687,18 +587,6 @@ fn code_classes(col: &Column) -> Vec<Vec<usize>> {
             classes.len() - 1
         };
         classes[cls].push(row);
-    };
-    match col.packed_codes() {
-        Some(packed) => {
-            for (row, code) in packed.iter().enumerate() {
-                classify(row, code);
-            }
-        }
-        None => {
-            for (row, &code) in col.codes().iter().enumerate() {
-                classify(row, code);
-            }
-        }
     }
     classes
 }
@@ -914,6 +802,7 @@ pub fn best_index(rel: &Relation, specs: &[(AttrId, PairSpec)]) -> PairIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Value;
 
     fn matches(spec: PairSpec, a: &Value, b: &Value) -> bool {
         // Reference semantics, mirroring Metric::dist for the spec's class.
@@ -959,8 +848,20 @@ mod tests {
         prev[b.len()]
     }
 
-    fn check_complete(col: &[Value], spec: PairSpec) {
-        let idx = PairIndex::build(col, spec);
+    /// A one-attribute relation holding `col`, and that attribute.
+    fn one_column(col: &[Value]) -> (Relation, AttrId) {
+        let mut b = crate::RelationBuilder::new().attr("v", crate::ValueType::Categorical);
+        for v in col {
+            b = b.row(vec![v.clone()]);
+        }
+        (b.build().expect("one cell per row"), AttrId(0))
+    }
+
+    /// The index over `col` generates every matching pair exactly once,
+    /// and only matching pairs when it claims to be exact; returns it.
+    fn check_complete(col: &[Value], spec: PairSpec) -> PairIndex {
+        let (r, a) = one_column(col);
+        let idx = PairIndex::build_attr(&r, a, spec);
         let mut cands = std::collections::BTreeSet::new();
         idx.for_each_candidate(|i, j| {
             assert!(i < j, "ordered pair");
@@ -984,6 +885,7 @@ mod tests {
                 }
             }
         }
+        idx
     }
 
     fn sample_column() -> Vec<Value> {
@@ -1021,14 +923,14 @@ mod tests {
             PairSpec::Band(-1.0),
             PairSpec::All,
         ] {
-            check_complete(&col, spec);
+            let _ = check_complete(&col, spec);
         }
     }
 
     #[test]
     fn band_links_are_exact() {
         let col: Vec<Value> = (0..40).map(|i| Value::int(i * 3)).collect();
-        let idx = PairIndex::build(&col, PairSpec::Band(4.0));
+        let idx = check_complete(&col, PairSpec::Band(4.0));
         assert!(idx.is_exact() && idx.is_indexed());
         // each value is within 4 of exactly its neighbours at gap 3
         assert_eq!(idx.n_candidates(), 39);
@@ -1067,7 +969,8 @@ mod tests {
     fn unselective_band_falls_back_to_full_scan() {
         // thousands of distinct values all within one huge band
         let col: Vec<Value> = (0..2000).map(Value::int).collect();
-        let idx = PairIndex::build(&col, PairSpec::Band(1e12));
+        let (r, a) = one_column(&col);
+        let idx = PairIndex::build_attr(&r, a, PairSpec::Band(1e12));
         assert!(!idx.is_indexed());
         assert_eq!(idx.n_candidates(), 2000 * 1999 / 2);
     }
@@ -1201,48 +1104,35 @@ mod tests {
 
     #[test]
     fn distinct_gram_hits_count_repeated_strings() {
-        use crate::{RelationBuilder, ValueType};
-        let _mode = crate::compat::test_mode_lock();
-        let mut b = RelationBuilder::new().attr("s", ValueType::Categorical);
-        for i in 0..40 {
-            b = b.row(vec![Value::Str(format!("name-{}", i % 8))]);
-        }
-        let r = b.build().expect("valid relation");
-        let s = r.schema().attr_id("s").expect("s");
-        let idx = PairIndex::build_attr(&r, s, PairSpec::Edit(1));
+        let col: Vec<Value> = (0..40)
+            .map(|i| Value::Str(format!("name-{}", i % 8)))
+            .collect();
+        let idx = check_complete(&col, PairSpec::Edit(1));
         assert_eq!(idx.distinct_gram_hits(), 32, "40 rows over 8 distinct");
-        let row_major = crate::compat::force_row_major();
-        let reference = PairIndex::build_attr(&r, s, PairSpec::Edit(1));
-        drop(row_major);
-        assert_eq!(reference.distinct_gram_hits(), 0, "reference counts none");
-        assert_eq!(idx.classes(), reference.classes());
-        assert_eq!(idx.links(), reference.links());
+        assert_eq!(idx.classes().len(), 8, "one class per distinct string");
     }
 
     #[test]
     fn from_partition_matches_eq_index() {
-        use crate::{RelationBuilder, ValueType};
-        let mut b = RelationBuilder::new().attr("g", ValueType::Categorical);
-        for i in 0..30 {
-            b = b.row(vec![Value::Str(format!("g{}", i % 4))]);
-        }
-        let r = b.build().expect("valid relation");
-        let g = r.schema().attr_id("g").expect("g");
+        let col: Vec<Value> = (0..30).map(|i| Value::Str(format!("g{}", i % 4))).collect();
+        let (r, g) = one_column(&col);
         let via_part = PairIndex::from_attrs(&r, crate::AttrSet::single(g));
-        let via_build = PairIndex::build(r.column(g), PairSpec::Eq);
+        let via_build = check_complete(&col, PairSpec::Eq);
         assert_eq!(via_part.n_candidates(), via_build.n_candidates());
         let mut a = Vec::new();
         via_part.for_each_candidate(|i, j| {
             a.push((i, j));
             true
         });
-        let mut bs = Vec::new();
-        via_build.for_each_candidate(|i, j| {
-            bs.push((i, j));
-            true
-        });
         a.sort_unstable();
-        bs.sort_unstable();
-        assert_eq!(a, bs);
+        let mut want = Vec::new();
+        for i in 0..col.len() {
+            for j in i + 1..col.len() {
+                if matches(PairSpec::Eq, &col[i], &col[j]) {
+                    want.push((i, j));
+                }
+            }
+        }
+        assert_eq!(a, want);
     }
 }

@@ -464,9 +464,9 @@ fn run_task(app: &AppState, task_name: &str, body: &Json, exec: &Exec) -> (u16, 
         ))),
     };
 
-    // Lazy columnar views (sorted numeric runs, bit-packed codes, value
-    // indexes) materialize inside the task; re-read the footprint so the
-    // gauge tracks resident bytes, not just the post-load dictionary size.
+    // Lazy columnar views (sorted-run indexes, packed numeric vectors)
+    // materialize inside the task; re-read the footprint so the gauge
+    // tracks resident bytes, not just the post-load dictionary size.
     crate::telemetry::dataset_bytes(name).set(relation.approx_bytes() as i64);
 
     match rendered {

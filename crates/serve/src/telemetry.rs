@@ -314,7 +314,7 @@ pub fn worker_inflight(worker: usize) -> Arc<Gauge> {
 /// `deptree_dataset_bytes{dataset="NAME"}`. Set at preload from the
 /// columnar `Relation::approx_bytes` estimate and refreshed after each
 /// task touching the dataset, so a scrape shows what each loaded table
-/// actually costs once its lazy views (sorted runs, bit-packed codes)
+/// actually costs once its lazy views (sorted runs, packed numeric vectors)
 /// have materialized.
 pub fn dataset_bytes(dataset: &str) -> Arc<Gauge> {
     obs::registry().gauge(

@@ -8,7 +8,8 @@
 #   2. `cargo clippy` twice       — libraries *and binaries* with
 #      `unwrap`/`expect` denied (fallible paths must return
 #      `DeptreeError`, not abort), then every target (tests, examples,
-#      benches) with `-D warnings`;
+#      benches) with `-D warnings`; both passes cover every workspace
+#      member, the dev-only `deptree-reference` crate included;
 #   3. tier-1: release build + the root test binaries, run twice — once
 #      serial (DEPTREE_THREADS=1) and once on an 8-worker pool
 #      (DEPTREE_THREADS=8) — so the thread-count-independence contract of
@@ -16,31 +17,36 @@
 #      suite once more back-to-back, so a test that only passes on a
 #      fresh process (ordering or leftover-state luck) is caught here
 #      and not on a busy CI box;
-#   4. pairwise_scaling --smoke — tiny-size run of the blocking/index
-#      benchmark that asserts indexed candidate generation reproduces the
-#      naive pair scans exactly (MD discovery, DC evidence, dedup);
-#   5. columnar_scaling --smoke + the columnar_equivalence suite at
-#      DEPTREE_THREADS=1 and =8 — the dictionary-encoded relation core
-#      must be byte-identical to the frozen row-major reference paths on
-#      every task, and the interning CSV parse must allocate less than a
-#      row-materializing one;
-#   6. serve_loadgen --smoke — boot the three-phase keep-alive benchmark
+#   4. pairwise_scaling --smoke (a `deptree-reference` bin) — tiny-size
+#      run of the blocking/index benchmark that asserts indexed candidate
+#      generation reproduces the reference pair scans exactly (MD
+#      discovery, DC evidence, dedup);
+#   5. columnar_scaling --smoke (a `deptree-reference` bin) + the
+#      columnar_equivalence suite at DEPTREE_THREADS=1 and =8 — every
+#      code-native kernel must equal its row-major reference in
+#      `deptree-reference` on every attribute subset, every task must be
+#      byte-identical across thread counts, and the interning CSV parse
+#      must allocate less than a row-materializing one;
+#   6. the end-to-end benchmark's own tests and its `run --smoke` — tiny
+#      inputs through the real CLI and `deptree serve`, every output
+#      checked (CLI ≡ library ≡ served bytes on generated tables);
+#   7. serve_loadgen --smoke — boot the three-phase keep-alive benchmark
 #      at a reduced size and require that connection reuse beats
 #      close-per-request, the response cache actually hits, and a cached
 #      replay is byte-identical to the reply that populated it;
-#   7. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
+#   8. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
 #      `deptree query` calls (the discover reply must be byte-identical to
 #      the pre-columnar recorded snapshot), scrape /metrics and require
 #      every load-bearing series (including the response-cache counters),
 #      SIGTERM it, and require a graceful
 #      exit 0;
-#   8. gateway smoke — boot `deptree gateway` with two sharded workers,
+#   9. gateway smoke — boot `deptree gateway` with two sharded workers,
 #      round-trip a merged discover, `kill -9` one worker and require the
 #      fan-out to *heal* (full, byte-identical answers via failover
 #      re-sharding) before the supervisor's respawn, require the
 #      self-healing metric series in the aggregated /metrics, then
 #      SIGTERM-drain the whole fleet to exit 0;
-#   9. rolling-restart smoke — boot a three-worker sharded gateway, keep
+#  10. rolling-restart smoke — boot a three-worker sharded gateway, keep
 #      a continuous `deptree query` loop running, trigger
 #      `deptree query reload`, and require zero dropped requests while
 #      every worker restarts exactly once.
@@ -71,15 +77,19 @@ DEPTREE_THREADS=8 cargo test -q
 echo "== tier-1: tests (repeat run, flake gate) =="
 DEPTREE_THREADS=1 cargo test -q
 
-echo "== pairwise_scaling smoke (indexed ≡ naive) =="
-cargo run --release --quiet --bin pairwise_scaling -- --smoke
+echo "== pairwise_scaling smoke (indexed ≡ reference pair scans) =="
+cargo run --release --quiet -p deptree-reference --bin pairwise_scaling -- --smoke
 
-echo "== columnar_scaling smoke (columnar ≡ row-major, interned parse allocates less) =="
-cargo run --release --quiet --bin columnar_scaling -- --smoke
+echo "== columnar_scaling smoke (columnar ≡ reference kernels, interned parse allocates less) =="
+cargo run --release --quiet -p deptree-reference --bin columnar_scaling -- --smoke
 
 echo "== columnar equivalence suite (serial + 8-thread pools) =="
 DEPTREE_THREADS=1 cargo test -q --test columnar_equivalence
 DEPTREE_THREADS=8 cargo test -q --test columnar_equivalence
+
+echo "== benchmark tests + smoke run (CLI ≡ library ≡ served bytes) =="
+cargo test -q --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- run --smoke
 
 echo "== serve_loadgen smoke (keep-alive beats close, cache hits, byte-identical replay) =="
 cargo run --release --quiet --bin serve_loadgen -- --smoke

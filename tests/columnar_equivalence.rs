@@ -1,49 +1,44 @@
-//! Columnar ↔ row-major differential harness.
+//! Columnar ↔ reference differential harness.
 //!
-//! The columnar relation core keeps the pre-columnar row-oriented
-//! algorithms alive behind [`compat::force_row_major`] as a frozen
-//! reference. This suite is the gate on that design: every discovery and
-//! quality task must render **byte-identical** output on the fast
-//! columnar paths and on the row-major reference — at 1/2/8 threads,
-//! under tight node and row budgets (sound partials included), across
-//! the paper's worked examples, seeded synthetics and
-//! fault-plan-corrupted CSVs. Deadline budgets cut at a
-//! timing-dependent point, so they are checked for soundness instead of
-//! bytes.
+//! Two gates on the dictionary-encoded relation core:
 //!
-//! The mode flag is process-global; sections that force row-major hold a
-//! lock so two tests never fight over the flag. The contract that makes
-//! a race harmless anyway — both paths produce identical bytes — is
-//! exactly what this suite proves.
+//! * **Kernel level.** Every kernel that has a row-major twin — grouping,
+//!   distinct counting and sorting, stripped partitions (direct and via
+//!   the partition cache's radix / probe-table products), candidate-pair
+//!   indexes, and the sorted order-dependency check — must equal its
+//!   `deptree_reference` counterpart on *every* attribute subset (or
+//!   attribute, spec and direction) of every relation in the corpus: the
+//!   paper's worked examples, seeded synthetics and fault-plan-corrupted
+//!   CSVs, each also after a `set` mutation that leaves orphaned
+//!   dictionary entries and after a `select` that re-encodes the
+//!   dictionaries.
+//! * **Task level.** Every discovery and quality task must render
+//!   **byte-identical** output at 1/2/8 threads, including under tight
+//!   node and row budgets (sound partials included), across the same
+//!   corpus. Deadline budgets cut at a timing-dependent point, so they are
+//!   checked for soundness instead of bytes.
 
 mod common;
 
 use deptree::core::engine::{Budget, Exec};
-use deptree::core::{Dependency, NedAtom};
+use deptree::core::{Dependency, Direction, NedAtom, Od};
 use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
 use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::{compat, parse_csv_lossy, to_csv, AttrSet, Relation, ValueType};
+use deptree::relation::pairgen::{PairIndex, PairSpec};
+use deptree::relation::{
+    parse_csv_lossy, to_csv, AttrSet, PartitionCache, Relation, StrippedPartition, Value, ValueType,
+};
 use deptree::serve::tasks::{self, ProfileOpts};
 use deptree::synth::fault::FaultPlan;
+use deptree_reference as reference;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 use std::time::Duration;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Run `f` with the row-major reference paths forced on, serialized so
-/// concurrent tests in this binary don't toggle the flag mid-run.
-fn row_major<T>(f: impl FnOnce() -> T) -> T {
-    let _lock = MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _mode = compat::force_row_major();
-    f()
-}
-
-/// The core assertion: `render` must produce the same bytes on the
-/// columnar paths and the row-major reference, at every thread count.
+/// The task-level assertion: `render` must produce the same bytes at
+/// every thread count.
 fn assert_equiv(label: &str, budget: &Budget, render: &dyn Fn(&Exec) -> String) {
     let base = render(&Exec::new(budget.clone()).with_threads(1));
     for threads in THREADS {
@@ -51,12 +46,7 @@ fn assert_equiv(label: &str, budget: &Budget, render: &dyn Fn(&Exec) -> String) 
         assert_eq!(
             render(&exec),
             base,
-            "{label}: columnar output drifts at {threads} thread(s)"
-        );
-        let slow = row_major(|| render(&Exec::new(budget.clone()).with_threads(threads)));
-        assert_eq!(
-            slow, base,
-            "{label}: row-major reference differs at {threads} thread(s)"
+            "{label}: output drifts at {threads} thread(s)"
         );
     }
 }
@@ -304,7 +294,7 @@ fn quality_tasks_are_byte_identical_everywhere() {
 // ---------------------------------------------------------------------
 // Byte-identity: budget-truncated partials. Node and row budgets are
 // deterministic by the engine's reservation contract, so the *partial*
-// output must also match byte-for-byte across modes and thread counts.
+// output must also match byte-for-byte across thread counts.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -342,49 +332,221 @@ fn budget_truncated_partials_are_byte_identical() {
 
 // ---------------------------------------------------------------------
 // Deadline budgets cut at a timing-dependent point: only soundness is
-// required, in both modes.
+// required.
 // ---------------------------------------------------------------------
 
 #[test]
-fn deadline_partials_are_sound_in_both_modes() {
+fn deadline_partials_are_sound() {
     let r = hotels_r6();
-    let check = || {
-        for deadline_ms in [0u64, 1, 5] {
-            let budget = Budget::default().with_deadline(Duration::from_millis(deadline_ms));
-            let out = tane::discover_bounded(
-                &r,
-                &tane::TaneConfig {
-                    max_lhs: 3,
-                    max_error: 0.0,
-                },
-                &Exec::new(budget.clone()),
-            );
-            for fd in &out.result.fds {
-                assert!(fd.holds(&r), "unsound FD {fd} from a deadline partial");
-            }
-            let ods = od::discover_bounded(&r, &od::OdConfig { max_lhs: 2 }, &Exec::new(budget));
-            for o in &ods.result {
-                assert!(o.holds(&r), "unsound OD {o} from a deadline partial");
-            }
+    for deadline_ms in [0u64, 1, 5] {
+        let budget = Budget::default().with_deadline(Duration::from_millis(deadline_ms));
+        let out = tane::discover_bounded(
+            &r,
+            &tane::TaneConfig {
+                max_lhs: 3,
+                max_error: 0.0,
+            },
+            &Exec::new(budget.clone()),
+        );
+        for fd in &out.result.fds {
+            assert!(fd.holds(&r), "unsound FD {fd} from a deadline partial");
         }
-    };
-    check();
-    row_major(check);
+        let ods = od::discover_bounded(&r, &od::OdConfig { max_lhs: 2 }, &Exec::new(budget));
+        for o in &ods.result {
+            assert!(o.holds(&r), "unsound OD {o} from a deadline partial");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
-// The compatibility contract itself: flipping the mode mid-stream never
-// changes what a consumer computes, only which code computed it.
+// Kernel level: every kernel against its row-major reference, on every
+// attribute subset of every relation in the corpus.
 // ---------------------------------------------------------------------
 
+/// Orphaned dictionary entries churned through the last column by
+/// [`mutated`]: more than both radix gates admit on the corpus's row
+/// counts (`4·covered + 1024` for the cache's column product,
+/// `4·n + 4096` for direct grouping), so the hash fallbacks run too.
+const ORPHANS: usize = 5000;
+
+/// `r` after `set` mutations: row 0 of the first attribute takes row 1's
+/// value (a real change, orphaning the old value if no other row held
+/// it), and [`ORPHANS`] throwaway values churn through row 0 of the last
+/// attribute before its value is restored.
+fn mutated(r: &Relation) -> Relation {
+    let mut m = r.clone();
+    let attrs: Vec<_> = r.schema().ids().collect();
+    if r.n_rows() >= 2 {
+        m.set_value(0, attrs[0], r.value(1, attrs[0]).clone());
+    }
+    if let Some(&last) = attrs.last().filter(|_| r.n_rows() >= 1) {
+        let kept = m.value(0, last).clone();
+        for i in 0..ORPHANS {
+            m.set_value(0, last, Value::Str(format!("orphan {i}")));
+        }
+        m.set_value(0, last, kept);
+    }
+    m.debug_validate();
+    m
+}
+
+/// `r` after a `select` that reverses the row order and drops every third
+/// row: dictionaries are rebuilt in the new first-appearance order, so
+/// code order no longer follows the original row order.
+fn selected(r: &Relation) -> Relation {
+    let rows: Vec<usize> = (0..r.n_rows()).rev().filter(|i| i % 3 != 1).collect();
+    let s = r.select_rows(&rows);
+    s.debug_validate();
+    s
+}
+
+/// The kernel corpus: every task-level dataset, plus its mutated and
+/// selected variants.
+fn kernel_corpus() -> Vec<(String, Relation)> {
+    let mut out = Vec::new();
+    for (label, r) in paper_tables()
+        .into_iter()
+        .chain(seeded_synthetics())
+        .chain(corrupted_relations())
+    {
+        out.push((format!("{label} after set"), mutated(&r)));
+        out.push((format!("{label} after select"), selected(&r)));
+        out.push((label, r));
+    }
+    out
+}
+
+/// Every subset of the relation's attributes, `∅` included.
+fn all_subsets(r: &Relation) -> Vec<AttrSet> {
+    let attrs: Vec<_> = r.schema().ids().collect();
+    (0..1u64 << attrs.len())
+        .map(|mask| {
+            attrs
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask >> i & 1 == 1)
+                .map(|(_, &a)| a)
+                .collect()
+        })
+        .collect()
+}
+
 #[test]
-fn mode_flag_is_invisible_to_results() {
-    let mut rng = deptree::synth::rng(0x5EED);
-    for _ in 0..8 {
-        let r = common::mixed_relation(&mut rng);
-        r.debug_validate();
-        let fast = render_miners(&r, &Exec::unbounded());
-        let slow = row_major(|| render_miners(&r, &Exec::unbounded()));
-        assert_eq!(fast, slow);
+fn grouping_kernels_match_reference_on_every_attribute_subset() {
+    for (label, r) in kernel_corpus() {
+        for set in all_subsets(&r) {
+            assert_eq!(
+                r.group_by(set),
+                reference::relation::group_by(&r, set),
+                "{label}: group_by {set:?}"
+            );
+            assert_eq!(
+                r.distinct_count(set),
+                reference::relation::distinct_count(&r, set),
+                "{label}: distinct_count {set:?}"
+            );
+            assert_eq!(
+                r.sorted_rows(set),
+                reference::relation::sorted_rows(&r, set),
+                "{label}: sorted_rows {set:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn partition_kernels_match_reference_on_every_attribute_subset() {
+    let (mut radix, mut hash) = (0, 0);
+    for (label, r) in kernel_corpus() {
+        for a in r.schema().ids() {
+            let col = reference::relation::column(&r, a);
+            let p = StrippedPartition::from_column(&r, a);
+            assert_eq!(p.n_rows(), r.n_rows(), "{label}: from_column {a:?} rows");
+            assert_eq!(
+                p.classes(),
+                &reference::relation::column_partition(&col)[..],
+                "{label}: from_column {a:?}"
+            );
+        }
+        let cache = PartitionCache::new();
+        for set in all_subsets(&r) {
+            let want = reference::relation::partition(&r, set);
+            let direct = StrippedPartition::from_attrs(&r, set);
+            assert_eq!(
+                direct.n_rows(),
+                r.n_rows(),
+                "{label}: from_attrs {set:?} rows"
+            );
+            assert_eq!(direct.classes(), &want[..], "{label}: from_attrs {set:?}");
+            let (cached, _) = cache.get_or_compute(&r, set);
+            assert_eq!(cached.classes(), &want[..], "{label}: cached {set:?}");
+        }
+        radix += cache.radix_products();
+        hash += cache.hash_products();
+    }
+    assert!(radix > 0, "no cache product took the radix kernel");
+    assert!(hash > 0, "no cache product took the probe-table fallback");
+}
+
+#[test]
+fn pair_index_matches_reference_on_every_attribute_and_spec() {
+    let specs = [
+        PairSpec::Eq,
+        PairSpec::Band(0.0),
+        PairSpec::Band(1.0),
+        PairSpec::Band(7.5),
+        PairSpec::Band(1e9),
+        PairSpec::Band(-1.0),
+        PairSpec::Band(f64::NAN),
+        PairSpec::Edit(0),
+        PairSpec::Edit(1),
+        PairSpec::Edit(2),
+        PairSpec::Edit(6),
+        PairSpec::Empty,
+        PairSpec::All,
+    ];
+    for (label, r) in kernel_corpus() {
+        for a in r.schema().ids() {
+            let col = reference::relation::column(&r, a);
+            for spec in specs {
+                let got = PairIndex::build_attr(&r, a, spec);
+                let want = reference::pairgen::build(&col, spec);
+                let what = format!("{label}: {a:?} {spec:?}");
+                assert_eq!(got.classes(), &want.classes[..], "{what}: classes");
+                assert_eq!(got.links(), &want.links[..], "{what}: links");
+                assert_eq!(got.is_exact(), want.exact, "{what}: exact");
+                assert_eq!(got.is_indexed(), want.indexed, "{what}: indexed");
+                let mut pairs = Vec::new();
+                got.for_each_candidate(|i, j| {
+                    pairs.push((i, j));
+                    true
+                });
+                assert_eq!(pairs, want.candidates(), "{what}: candidates");
+                assert_eq!(got.n_candidates(), pairs.len() as u64, "{what}: count");
+            }
+        }
+    }
+}
+
+#[test]
+fn od_check_matches_reference_on_every_attribute_pair() {
+    let dirs = [Direction::Asc, Direction::Desc];
+    for (label, r) in kernel_corpus() {
+        let s = r.schema();
+        let cols: Vec<Vec<Value>> = s
+            .ids()
+            .map(|a| reference::relation::column(&r, a))
+            .collect();
+        for a in s.ids() {
+            for b in s.ids() {
+                for da in dirs {
+                    for db in dirs {
+                        let o = Od::new(s, vec![(a, da)], vec![(b, db)]);
+                        let want = reference::od::holds_sorted(&cols[a.0], da, &cols[b.0], db);
+                        assert_eq!(o.holds(&r), want, "{label}: {o}");
+                    }
+                }
+            }
+        }
     }
 }

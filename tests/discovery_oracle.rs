@@ -10,12 +10,14 @@
 mod common;
 
 use deptree::core::engine::{Budget, Exec};
-use deptree::core::{Dependency, Direction, Fd, Ned, NedAtom, Od};
+use deptree::core::{Dependency, Direction, Fd, Md, Ned, NedAtom, Od};
 use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
+use deptree::quality::dedup;
 use deptree::relation::examples::{hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::{AttrSet, Relation, StrippedPartition};
+use deptree::relation::{AttrSet, Relation, RelationBuilder, StrippedPartition, ValueType};
 use deptree::synth::{categorical, entities, CategoricalConfig, EntitiesConfig};
+use deptree_reference as reference;
 
 const MAX_LHS: usize = 3;
 
@@ -192,10 +194,11 @@ fn afd_oracle_agrees_with_approximate_tane() {
 }
 
 // ---------------------------------------------------------------------------
-// Pairwise differential oracles (MD/DD/NED/OD/DC): the blocking/index-based
-// candidate generation must reproduce the frozen naive `row_pairs()` paths
-// exactly — on the paper's tables and seeded synthetics, at every thread
-// count, and soundly (verified results only) under tight budgets.
+// Pairwise differential oracles (MD/DD/NED/OD/DC/dedup): the blocking and
+// index-based candidate generation must reproduce the full `row_pairs()`
+// scans of `deptree_reference` exactly — on the paper's tables and seeded
+// synthetics, at every thread count, and soundly (verified results only)
+// under tight budgets.
 // ---------------------------------------------------------------------------
 
 const PAIR_THREADS: [usize; 3] = [1, 2, 8];
@@ -230,21 +233,27 @@ fn md_indexed_discovery_matches_naive_oracle() {
     // Text attributes exercise the q-gram edit-distance index, numeric ones
     // the band join, categorical ones equality blocking and (via thresholds
     // that reach 1.0 on Equality) the conservative full-scan fallback.
-    let cases = [
-        ("r1", hotels_r1(), "region"),
-        ("r6", hotels_r6(), "region"),
-        ("entities", entities_relation(41, 40), "name"),
-        ("categorical", synthetic(43, 60, 0.05), "D0"),
-    ];
     let cfg = md::MdConfig {
         min_support: 0.0,
         min_confidence: 0.5,
         thresholds_per_attr: 2,
         max_lhs: 2,
     };
-    for (label, r, rhs_name) in cases {
+    let cases = [
+        ("r1", hotels_r1(), "region", cfg.clone()),
+        ("r6", hotels_r6(), "region", cfg.clone()),
+        (
+            "r6 zip default",
+            hotels_r6(),
+            "zip",
+            md::MdConfig::default(),
+        ),
+        ("entities", entities_relation(41, 40), "name", cfg.clone()),
+        ("categorical", synthetic(43, 60, 0.05), "D0", cfg),
+    ];
+    for (label, r, rhs_name, cfg) in cases {
         let rhs = AttrSet::single(r.schema().id(rhs_name));
-        let want = render_scored_mds(&md::discover_naive(&r, rhs, &cfg));
+        let want = render_scored_mds(&reference::md::discover(&r, rhs, &cfg));
         for threads in PAIR_THREADS {
             let out = md::discover_bounded(&r, rhs, &cfg, &Exec::unbounded().with_threads(threads));
             assert!(out.complete, "{label}: unbounded run must complete");
@@ -254,6 +263,60 @@ fn md_indexed_discovery_matches_naive_oracle() {
                 "{label}: indexed MD discovery vs naive at {threads} thread(s)"
             );
         }
+    }
+    // Hand-picked rules over every index kind: equality blocking, the edit
+    // index on two atoms, a Jaro-Winkler full scan, a single edit atom.
+    let (r6, r1) = (hotels_r6(), hotels_r1());
+    let (s6, s1) = (r6.schema(), r1.schema());
+    let rules = [
+        (
+            &r6,
+            Md::new(
+                s6,
+                vec![
+                    (s6.id("street"), Metric::Levenshtein, 5.0),
+                    (s6.id("region"), Metric::Levenshtein, 2.0),
+                ],
+                AttrSet::single(s6.id("zip")),
+            ),
+        ),
+        (
+            &r6,
+            Md::new(
+                s6,
+                vec![(s6.id("region"), Metric::Equality, 0.0)],
+                AttrSet::single(s6.id("zip")),
+            ),
+        ),
+        (
+            &r6,
+            Md::new(
+                s6,
+                vec![(s6.id("name"), Metric::JaroWinkler, 0.3)],
+                AttrSet::single(s6.id("region")),
+            ),
+        ),
+        (
+            &r1,
+            Md::new(
+                s1,
+                vec![(s1.id("address"), Metric::Levenshtein, 4.0)],
+                AttrSet::single(s1.id("region")),
+            ),
+        ),
+    ];
+    for (r, m) in rules {
+        assert_eq!(
+            m.matching_pairs(r),
+            reference::md::matching_pairs(&m, r),
+            "{m}"
+        );
+        let (fast, slow) = (
+            m.support_confidence(r),
+            reference::md::support_confidence(&m, r),
+        );
+        assert_eq!(fast.0.to_bits(), slow.0.to_bits(), "support of {m}");
+        assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "confidence of {m}");
     }
 }
 
@@ -278,7 +341,7 @@ fn md_partial_results_sound_under_budget() {
             // Whatever survives the budget must carry exact naive scores and
             // meet both bars — never a half-scanned estimate.
             for s in &out.result {
-                let (sup, conf) = s.md.support_confidence_naive(&r);
+                let (sup, conf) = reference::md::support_confidence(&s.md, &r);
                 assert_eq!(sup.to_bits(), s.support.to_bits(), "{}", s.md);
                 assert_eq!(conf.to_bits(), s.confidence.to_bits(), "{}", s.md);
                 assert!(conf >= cfg.min_confidence, "{}", s.md);
@@ -289,18 +352,28 @@ fn md_partial_results_sound_under_budget() {
 
 #[test]
 fn dd_indexed_discovery_matches_naive_oracle() {
-    let cases = [
-        ("r6", hotels_r6()),
-        ("entities", entities_relation(53, 35)),
-        ("categorical", synthetic(61, 50, 0.05)),
-    ];
     let cfg = dd::DdConfig {
         thresholds_per_attr: 3,
         min_support: 2,
         max_lhs: 1,
     };
-    for (label, r) in cases {
-        let want: Vec<String> = dd::discover_naive(&r, &cfg)
+    let cases = [
+        ("r6", hotels_r6(), cfg.clone()),
+        ("r6 default", hotels_r6(), dd::DdConfig::default()),
+        (
+            "r6 support 1",
+            hotels_r6(),
+            dd::DdConfig {
+                thresholds_per_attr: 3,
+                min_support: 1,
+                max_lhs: 1,
+            },
+        ),
+        ("entities", entities_relation(53, 35), cfg.clone()),
+        ("categorical", synthetic(61, 50, 0.05), cfg),
+    ];
+    for (label, r, cfg) in cases {
+        let want: Vec<String> = reference::dd::discover(&r, &cfg)
             .iter()
             .map(|d| d.to_string())
             .collect();
@@ -332,7 +405,7 @@ fn dd_partial_results_sound_under_budget() {
             let exec = Exec::new(budget.clone()).with_threads(threads);
             let out = dd::discover_bounded(&r, &cfg, &exec);
             for d in &out.result {
-                let (sup, conf) = d.support_confidence_naive(&r);
+                let (sup, conf) = reference::dd::support_confidence(d, &r);
                 // Emitted DDs are fully verified: the RHS threshold is the
                 // exact max over LHS-compatible pairs, so confidence is 1.
                 assert!(sup >= cfg.min_support, "{d}");
@@ -364,7 +437,7 @@ fn ned_indexed_scoring_matches_naive_on_paper_tables() {
                             vec![NedAtom::new(b, mb.clone(), tb)],
                         );
                         let fast = ned.support_confidence(&r);
-                        let slow = ned.support_confidence_naive(&r);
+                        let slow = reference::ned::support_confidence(&ned, &r);
                         assert_eq!(fast.0, slow.0, "{label}: support of {ned}");
                         assert_eq!(
                             fast.1.to_bits(),
@@ -375,6 +448,46 @@ fn ned_indexed_scoring_matches_naive_on_paper_tables() {
                 }
             }
         }
+    }
+    // Hand-picked compound and cross-metric NEDs on r6: a two-atom edit
+    // LHS, an equality LHS with a band RHS, an empty LHS, a Jaro-Winkler
+    // LHS with an edit RHS.
+    let r = hotels_r6();
+    let s = r.schema();
+    let neds = [
+        Ned::new(
+            s,
+            vec![
+                NedAtom::new(s.id("name"), Metric::Levenshtein, 1.0),
+                NedAtom::new(s.id("address"), Metric::Levenshtein, 5.0),
+            ],
+            vec![NedAtom::new(s.id("street"), Metric::Levenshtein, 5.0)],
+        ),
+        Ned::new(
+            s,
+            vec![NedAtom::new(s.id("region"), Metric::Equality, 0.0)],
+            vec![NedAtom::new(s.id("price"), Metric::AbsDiff, 100.0)],
+        ),
+        Ned::new(
+            s,
+            vec![],
+            vec![NedAtom::new(s.id("price"), Metric::AbsDiff, 50.0)],
+        ),
+        Ned::new(
+            s,
+            vec![NedAtom::new(s.id("name"), Metric::JaroWinkler, 0.4)],
+            vec![NedAtom::new(s.id("street"), Metric::Levenshtein, 5.0)],
+        ),
+    ];
+    for ned in &neds {
+        let fast = ned.support_confidence(&r);
+        let slow = reference::ned::support_confidence(ned, &r);
+        assert_eq!(fast.0, slow.0, "r6: support of {ned}");
+        assert_eq!(
+            fast.1.to_bits(),
+            slow.1.to_bits(),
+            "r6: confidence of {ned}"
+        );
     }
 }
 
@@ -400,7 +513,7 @@ fn ned_discovery_deterministic_across_threads() {
     }
     if let Some(n) = &base {
         let fast = n.support_confidence(&r);
-        let slow = n.support_confidence_naive(&r);
+        let slow = reference::ned::support_confidence(n, &r);
         assert_eq!(fast.0, slow.0);
         assert_eq!(fast.1.to_bits(), slow.1.to_bits());
     }
@@ -426,7 +539,7 @@ fn od_sorted_validation_matches_naive_pair_scan() {
                 }
                 for db in [Direction::Asc, Direction::Desc] {
                     let o = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                    assert_eq!(o.holds(r), o.holds_naive(r), "{label}: {o}");
+                    assert_eq!(o.holds(r), o.holds_pairwise(r), "{label}: {o}");
                 }
             }
         }
@@ -438,16 +551,44 @@ fn od_sorted_validation_matches_naive_pair_scan() {
     for budget in [Budget::new(), Budget::new().with_max_nodes(9)] {
         let out = od::discover_bounded(&r, &cfg, &Exec::new(budget));
         for o in &out.result {
-            assert!(o.holds_naive(&r), "{o}");
+            assert!(o.holds_pairwise(&r), "{o}");
         }
     }
 }
 
+/// Small-domain categorical synthetics: many duplicate tuples, so the
+/// blocked evidence builder's multiplicity accounting carries real weight.
+fn small_domain(seed: u64, n_rows: usize, domain: usize) -> Relation {
+    let cfg = CategoricalConfig {
+        n_rows,
+        n_key_attrs: 2,
+        n_dep_attrs: 1,
+        domain,
+        error_rate: 0.1,
+        seed,
+    };
+    categorical::generate(&cfg, &mut deptree::synth::rng(seed)).relation
+}
+
 #[test]
 fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
+    // Twelve rows over six distinct tuples: the intra-class branch of the
+    // blocked builder carries most of the multiset.
+    let mut dup = RelationBuilder::new()
+        .attr("x", ValueType::Numeric)
+        .attr("y", ValueType::Numeric);
+    for i in 0..12 {
+        dup = dup.row(vec![(i % 3).into(), (i % 2).into()]);
+    }
     let mut cases = vec![
         ("r7".to_string(), hotels_r7()),
         ("categorical".to_string(), synthetic(13, 80, 0.05)),
+        ("domain 5".to_string(), small_domain(5, 40, 5)),
+        ("domain 3".to_string(), small_domain(9, 40, 3)),
+        (
+            "duplicated rows".to_string(),
+            dup.build().expect("two cells per row"),
+        ),
     ];
     let mut rng = deptree::synth::rng(0xDCDC);
     for case in 0..12 {
@@ -459,7 +600,11 @@ fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
     for (label, r) in &cases {
         let preds = dc::predicate_space(r);
         let mut nstats = dc::FastDcStats::default();
-        let want = dc::evidence_sets(r, &preds, &mut nstats);
+        let want = reference::dc::evidence_sets(r, &preds, &mut nstats);
+        let mut gstats = dc::FastDcStats::default();
+        let grouped = reference::dc::evidence_sets_grouped(r, &preds, &mut gstats);
+        assert_eq!(grouped, want, "{label}: grouped reference evidence");
+        assert_eq!(gstats.pairs_evaluated, nstats.pairs_evaluated, "{label}");
         for threads in PAIR_THREADS {
             let mut stats = dc::FastDcStats::default();
             let (got, complete) = dc::evidence_sets_blocked(
@@ -486,7 +631,7 @@ fn dc_partial_evidence_is_submultiset_under_budget() {
     let r = synthetic(29, 120, 0.05);
     let preds = dc::predicate_space(&r);
     let mut nstats = dc::FastDcStats::default();
-    let full = dc::evidence_sets(&r, &preds, &mut nstats);
+    let full = reference::dc::evidence_sets(&r, &preds, &mut nstats);
     for max_rows in [10u64, 500, 5_000] {
         for threads in PAIR_THREADS {
             let mut stats = dc::FastDcStats::default();
@@ -530,145 +675,53 @@ fn g3_is_monotone_in_lhs_growth() {
     }
 }
 
-/// The frozen row-major reference paths (forced via `compat`) must satisfy
-/// the same oracles as the columnar defaults — one representative case per
-/// family (FD/AFD/MD/DD/NED/OD/DC), serial and parallel. Together with the
-/// columnar runs above this closes the differential triangle: oracle ≡
-/// columnar ≡ row-major. Other tests in this binary may observe the flag
-/// while this one holds it; both paths are contractually byte-identical,
-/// so that only affects their speed.
 #[test]
-fn oracles_agree_in_row_major_compat_mode() {
-    use deptree::relation::compat;
-    let _guard = compat::force_row_major();
-
-    // FD (exact) and AFD (g3 ≤ ε) against the brute-force oracle.
-    for (label, r, eps) in [
-        ("r6 row-major", hotels_r6(), 0.0),
-        ("r7 row-major", hotels_r7(), 0.0),
-        (
-            "synthetic row-major ε=0.05",
-            synthetic(101, 200, 0.02),
-            0.05,
-        ),
-    ] {
-        let want = oracle(&r, eps);
-        for threads in [1, 8] {
+fn dedup_indexed_clustering_matches_naive_oracle() {
+    // The partition fast path (all-equality LHS), the edit-distance index,
+    // and a multi-rule mix on r1; a zip-blocked rule on noisy entities.
+    let r = hotels_r1();
+    let s = r.schema();
+    let eq_md = Md::new(
+        s,
+        vec![(s.id("region"), Metric::Equality, 0.0)],
+        AttrSet::single(s.id("name")),
+    );
+    let edit_md = Md::new(
+        s,
+        vec![(s.id("address"), Metric::Levenshtein, 4.0)],
+        AttrSet::single(s.id("name")),
+    );
+    let cfg = EntitiesConfig {
+        n_entities: 30,
+        max_duplicates: 3,
+        variety: 0.7,
+        error_rate: 0.1,
+        seed: 17,
+    };
+    let noisy = entities::generate(&cfg, &mut deptree::synth::rng(cfg.seed)).relation;
+    let ns = noisy.schema();
+    let zip_md = Md::new(
+        ns,
+        vec![(ns.id("zip"), Metric::Equality, 0.0)],
+        AttrSet::single(ns.id("name")),
+    );
+    let cases: Vec<(&str, &Relation, Vec<Md>)> = vec![
+        ("r1 equality", &r, vec![eq_md.clone()]),
+        ("r1 edit", &r, vec![edit_md.clone()]),
+        ("r1 both", &r, vec![eq_md, edit_md]),
+        ("entities zip", &noisy, vec![zip_md]),
+    ];
+    for (label, r, mds) in cases {
+        let want = reference::dedup::cluster(r, &mds);
+        for threads in PAIR_THREADS {
+            let exec = Exec::unbounded().with_threads(threads);
+            let got = dedup::cluster_bounded(r, &mds, &exec);
+            assert!(got.complete, "{label}: unbounded run must complete");
             assert_eq!(
-                tane_fds(&r, eps, threads),
-                want,
-                "{label}: TANE vs oracle at {threads} thread(s)"
+                got.result.cluster, want.cluster,
+                "{label} at {threads} thread(s)"
             );
-            if eps == 0.0 {
-                assert_eq!(
-                    fastfd_fds(&r, threads),
-                    want,
-                    "{label}: FastFD vs oracle at {threads} thread(s)"
-                );
-            }
+            assert_eq!(got.result.n_clusters, want.n_clusters, "{label}");
         }
-    }
-
-    // MD: indexed discovery vs the naive pair scan, bit-exact scores.
-    let r = entities_relation(41, 40);
-    let rhs = AttrSet::single(r.schema().id("name"));
-    let cfg = md::MdConfig {
-        min_support: 0.0,
-        min_confidence: 0.5,
-        thresholds_per_attr: 2,
-        max_lhs: 2,
-    };
-    let want = render_scored_mds(&md::discover_naive(&r, rhs, &cfg));
-    for threads in [1, 8] {
-        let out = md::discover_bounded(&r, rhs, &cfg, &Exec::unbounded().with_threads(threads));
-        assert!(out.complete, "row-major MD run must complete");
-        assert_eq!(
-            render_scored_mds(&out.result),
-            want,
-            "row-major MD vs naive at {threads} thread(s)"
-        );
-    }
-
-    // DD: indexed vs naive.
-    let r = entities_relation(53, 35);
-    let cfg = dd::DdConfig {
-        thresholds_per_attr: 3,
-        min_support: 2,
-        max_lhs: 1,
-    };
-    let want: Vec<String> = dd::discover_naive(&r, &cfg)
-        .iter()
-        .map(|d| d.to_string())
-        .collect();
-    for threads in [1, 8] {
-        let out = dd::discover_bounded(&r, &cfg, &Exec::unbounded().with_threads(threads));
-        assert!(out.complete, "row-major DD run must complete");
-        let got: Vec<String> = out.result.iter().map(|d| d.to_string()).collect();
-        assert_eq!(got, want, "row-major DD vs naive at {threads} thread(s)");
-    }
-
-    // NED: index-backed scoring vs the pair scan on a paper table.
-    let r = hotels_r6();
-    let s = r.schema();
-    let attrs: Vec<_> = s.ids().collect();
-    for &a in &attrs {
-        for &b in &attrs {
-            if a == b {
-                continue;
-            }
-            let ma = Metric::default_for(s.ty(a));
-            let mb = Metric::default_for(s.ty(b));
-            for ta in dd::candidate_thresholds(&r, a, &ma, 2) {
-                for tb in dd::candidate_thresholds(&r, b, &mb, 2) {
-                    let ned = Ned::new(
-                        s,
-                        vec![NedAtom::new(a, ma.clone(), ta)],
-                        vec![NedAtom::new(b, mb.clone(), tb)],
-                    );
-                    let fast = ned.support_confidence(&r);
-                    let slow = ned.support_confidence_naive(&r);
-                    assert_eq!(fast.0, slow.0, "row-major support of {ned}");
-                    assert_eq!(
-                        fast.1.to_bits(),
-                        slow.1.to_bits(),
-                        "row-major confidence of {ned}"
-                    );
-                }
-            }
-        }
-    }
-
-    // OD: sorted validation vs the naive pair scan.
-    let r = hotels_r7();
-    let s = r.schema();
-    let attrs: Vec<_> = s.ids().collect();
-    for &a in &attrs {
-        for &b in &attrs {
-            if a == b {
-                continue;
-            }
-            for db in [Direction::Asc, Direction::Desc] {
-                let o = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                assert_eq!(o.holds(&r), o.holds_naive(&r), "row-major {o}");
-            }
-        }
-    }
-
-    // DC: blocked evidence multiset vs the naive scan.
-    let r = synthetic(13, 80, 0.05);
-    let preds = dc::predicate_space(&r);
-    let mut nstats = dc::FastDcStats::default();
-    let want = dc::evidence_sets(&r, &preds, &mut nstats);
-    for threads in [1, 8] {
-        let mut stats = dc::FastDcStats::default();
-        let (got, complete) = dc::evidence_sets_blocked(
-            &r,
-            &preds,
-            &mut stats,
-            &Exec::unbounded().with_threads(threads),
-        );
-        assert!(complete, "row-major DC run must complete");
-        assert_eq!(got, want, "row-major evidence at {threads} thread(s)");
-        assert_eq!(stats.pairs_evaluated, nstats.pairs_evaluated);
     }
 }
