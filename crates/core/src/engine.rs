@@ -160,41 +160,6 @@ impl Budget {
         self.max_partition_bytes = Some(n);
         self
     }
-
-    /// True when no limit is set — bounded entry points can skip all
-    /// instrumentation overhead in this case.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.max_nodes.is_none()
-            && self.max_rows.is_none()
-            && self.max_partition_bytes.is_none()
-    }
-
-    /// Divide this budget into one of `n` equal shares for a
-    /// scatter/gather fan-out (each share drives one parallel worker).
-    ///
-    /// Counter caps (`max_nodes`, `max_rows`, `max_partition_bytes`) are
-    /// ceil-divided so no work is lost to rounding; the roll-up across
-    /// all `n` shares overshoots the original grant by at most `n - 1`
-    /// units per cap. The wall-clock `deadline` is kept as-is: the
-    /// shares run concurrently, so they spend the same wall-clock
-    /// window, not a fraction of it. Unlimited caps stay unlimited.
-    ///
-    /// ```
-    /// use deptree_core::engine::Budget;
-    /// let shares = Budget::new().with_max_nodes(10).split(3);
-    /// assert_eq!(shares.max_nodes, Some(4)); // ceil(10 / 3)
-    /// ```
-    pub fn split(&self, n: usize) -> Budget {
-        let n = n.max(1) as u64;
-        let share = |cap: Option<u64>| cap.map(|c| c.div_ceil(n));
-        Budget {
-            deadline: self.deadline,
-            max_nodes: share(self.max_nodes),
-            max_rows: share(self.max_rows),
-            max_partition_bytes: share(self.max_partition_bytes),
-        }
-    }
 }
 
 /// Cheap cooperative cancellation: clone the token, hand one clone to the
@@ -648,32 +613,6 @@ impl Exec {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_shares_counters_and_keeps_the_deadline() {
-        let b = Budget::new()
-            .with_deadline(Duration::from_millis(500))
-            .with_max_nodes(10)
-            .with_max_rows(7)
-            .with_max_partition_bytes(64);
-        let share = b.split(3);
-        assert_eq!(share.deadline, Some(Duration::from_millis(500)));
-        assert_eq!(share.max_nodes, Some(4)); // ceil(10/3)
-        assert_eq!(share.max_rows, Some(3)); // ceil(7/3)
-        assert_eq!(share.max_partition_bytes, Some(22)); // ceil(64/3)
-                                                         // Roll-up bound: n shares cover the grant, overshooting by < n.
-        for (total, cap) in [(10u64, 4u64), (7, 3), (64, 22)] {
-            assert!(3 * cap >= total && 3 * cap < total + 3);
-        }
-    }
-
-    #[test]
-    fn split_of_unlimited_stays_unlimited_and_zero_shares_clamp() {
-        assert!(Budget::new().split(4).is_unlimited());
-        // A degenerate fan-out of zero workers must not divide by zero.
-        let b = Budget::new().with_max_nodes(5).split(0);
-        assert_eq!(b.max_nodes, Some(5));
-    }
 
     #[test]
     fn unlimited_budget_never_exhausts() {

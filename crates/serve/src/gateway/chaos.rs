@@ -9,17 +9,17 @@
 //! scheduled offsets:
 //!
 //! * **Kill** — `SIGKILL`: the crash path (respawn backoff, quarantine
-//!   fuel, failover re-sharding).
+//!   fuel, proxy failover to the dataset's next holder).
 //! * **Wedge** — `SIGSTOP` with no resume: the process is alive but
 //!   unresponsive; `/readyz` probes must flag it dead, and the
 //!   supervisor's kill-and-respawn must clear the stopped process.
 //! * **Slow** — `SIGSTOP` then `SIGCONT` after a pause: a transient
-//!   stall (GC, CPU steal) that must ride through on retries and
-//!   hedged replica reads without the worker being declared dead.
+//!   stall (GC, CPU steal) that proxied requests must wait out without
+//!   the worker being declared dead.
 //!
 //! The plan only *schedules against slots*; pid resolution happens at
 //! delivery time through the supervisor, so a respawned worker receives
-//! the fault its slot was scheduled for — chaos keeps up with healing.
+//! the fault its slot was scheduled for — chaos keeps up with respawns.
 
 use super::supervisor::{log, Supervisor};
 use deptree_core::engine::signal;

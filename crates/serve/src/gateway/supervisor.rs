@@ -279,23 +279,6 @@ impl Supervisor {
         self.slots.len()
     }
 
-    /// Up and past probation: the slot is a trustworthy home again.
-    /// Re-absorb (undoing a re-home) waits for this, not just Up — a
-    /// worker on probation may be about to re-quarantine.
-    pub fn settled(&self, id: usize) -> bool {
-        self.slots.get(id).is_some_and(|s| {
-            let st = lock(s);
-            st.phase == Phase::Up && !st.probation
-        })
-    }
-
-    /// The slot's current spawn epoch. A re-homed copy remembers the
-    /// epoch of the worker it was POSTed to; when that worker respawns
-    /// (epoch moves) the copy died with the old process.
-    pub fn epoch_of(&self, id: usize) -> Option<u64> {
-        self.slots.get(id).map(|s| lock(s).epoch)
-    }
-
     /// Respawn count of one slot.
     pub fn restarts_of(&self, id: usize) -> u64 {
         self.slots.get(id).map_or(0, |s| lock(s).restarts)
@@ -858,7 +841,13 @@ mod tests {
         // the fuel: the recovered worker is indistinguishable from one
         // that never crashed.
         assert!(
-            wait_for(|| sup.settled(0), Duration::from_secs(10)),
+            wait_for(
+                || {
+                    let st = lock(&sup.slots[0]);
+                    st.phase == Phase::Up && !st.probation
+                },
+                Duration::from_secs(10)
+            ),
             "probation never passed: {:?}",
             sup.status_json()
         );

@@ -18,8 +18,7 @@
 //! | POST | `/v1/repair`   | FD repair; returns repaired CSV |
 //! | POST | `/v1/dedup`    | exact-key duplicate clustering |
 //! | POST | `/v1/batch`    | N task requests under one shared budget |
-//! | POST | `/admin/datasets`      | register a dataset from inline CSV |
-//! | POST | `/admin/datasets/drop` | unregister a dataset |
+//! | POST | `/admin/datasets` | register or replace a dataset from inline CSV |
 //!
 //! Task bodies share the envelope `{dataset, timeout_ms?, max_nodes?,
 //! max_rows?}` plus per-task fields; task responses share `{task,
@@ -29,7 +28,7 @@
 //! wire.
 //!
 //! Successful non-partial task replies are cached per dataset *version*
-//! (a monotonic counter bumped on every `/admin` load or drop), so a
+//! (a monotonic counter bumped on every `/admin` load), so a
 //! repeat read replays the exact bytes of the original reply and any
 //! mutation invalidates by construction — see [`crate::cache`].
 
@@ -67,15 +66,14 @@ const CACHEABLE: [&str; 5] = [
 const MAX_BATCH_ITEMS: usize = 256;
 
 /// Per-server state shared by all workers. Everything is immutable
-/// except the dataset map, which `/admin/datasets` may grow or shrink
-/// at runtime (the gateway re-homes a dead worker's slice by POSTing
-/// it to a survivor), and the drain/engine atomics.
+/// except the dataset map, which `/admin/datasets` may extend or
+/// replace entries of at runtime, and the drain/engine atomics.
 pub struct AppState {
     /// Named datasets with their version: preloaded at boot, extended
     /// over `/admin`. `Arc` per relation so a task keeps its snapshot
-    /// alive even if an admin drop races the request — reads never block
-    /// on a parse. The version is globally monotonic (never reused, even
-    /// across a drop/re-add of the same name), so it is safe to key
+    /// alive even if an admin replace races the request — reads never
+    /// block on a parse. The version is globally monotonic (never
+    /// reused, even when a name is replaced), so it is safe to key
     /// cached responses by.
     datasets: RwLock<BTreeMap<String, (u64, Arc<Relation>)>>,
     /// Source of dataset versions; see `datasets`.
@@ -151,19 +149,6 @@ impl AppState {
             .is_some();
         self.cache.purge_prefix(&prefix);
         replaced
-    }
-
-    /// Drop a dataset and its cached replies. Returns `true` when it
-    /// existed. In-flight tasks holding its `Arc` finish unharmed.
-    pub fn remove_dataset(&self, name: &str) -> bool {
-        let existed = self
-            .datasets
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(name)
-            .is_some();
-        self.cache.purge_prefix(&format!("{name}{KEY_SEP}"));
-        existed
     }
 
     /// `(name, rows, columns)` for every registered dataset, in name
@@ -264,11 +249,7 @@ pub fn handle(app: &AppState, req: &Request) -> (u16, Json) {
         }
         ("POST", "/v1/batch") => batch(app, req),
         ("POST", "/admin/datasets") => admin_load(app, req),
-        ("POST", "/admin/datasets/drop") => admin_drop(app, req),
-        (
-            _,
-            "/healthz" | "/readyz" | "/v1/datasets" | "/admin/datasets" | "/admin/datasets/drop",
-        ) => err(
+        (_, "/healthz" | "/readyz" | "/v1/datasets" | "/admin/datasets") => err(
             ErrorCode::MethodNotAllowed,
             &format!("{} not allowed here", req.method),
         ),
@@ -486,7 +467,7 @@ fn run_task(app: &AppState, task_name: &str, body: &Json, exec: &Exec) -> (u16, 
             }
             if task_name == "discover" {
                 // Full machine-readable FD list (the human `report`
-                // truncates at 25) — what the gateway merger consumes.
+                // truncates at 25).
                 let fds: Vec<Json> = report.fds.iter().map(|s| Json::from(s.as_str())).collect();
                 resp = resp.set("fds", fds);
             }
@@ -514,12 +495,9 @@ fn admin_types(spec: &str) -> Result<Vec<ValueType>, String> {
         .collect()
 }
 
-/// `POST /admin/datasets` — register a dataset at runtime from inline
-/// CSV: `{name, csv, types?}`. This is the re-homing primitive: the
-/// gateway ships a dead worker's row slice here so a survivor can serve
-/// it without a restart. Strict parse (no lossy salvage): the payload
-/// comes from a process that already parsed it once, so any defect is a
-/// bug worth surfacing, not data to repair.
+/// `POST /admin/datasets` — register or replace a dataset at runtime
+/// from inline CSV: `{name, csv, types?}`. Strict parse (no lossy
+/// salvage): a defect in an uploaded table is the uploader's to fix.
 fn admin_load(app: &AppState, req: &Request) -> (u16, Json) {
     // Track as in-flight so a drain never cuts a half-applied load.
     let _inflight = app.drain.track();
@@ -567,36 +545,6 @@ fn admin_load(app: &AppState, req: &Request) -> (u16, Json) {
             .set("rows", rows)
             .set("columns", columns)
             .set("replaced", replaced),
-    )
-}
-
-/// `POST /admin/datasets/drop` — unregister a dataset: `{name}`. The
-/// re-absorb half of re-homing: once the primary is healthy again the
-/// gateway drops the survivor's temporary copy. Dropping a name that
-/// is not registered is not an error (`existed: false`) — re-absorb is
-/// idempotent.
-fn admin_drop(app: &AppState, req: &Request) -> (u16, Json) {
-    let _inflight = app.drain.track();
-    if app.drain.is_draining() {
-        return err(ErrorCode::Draining, "server is draining");
-    }
-    let body = match std::str::from_utf8(&req.body)
-        .map_err(|_| "body is not UTF-8".to_owned())
-        .and_then(|text| Json::parse(text).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(msg) => return err(ErrorCode::Parse, &msg),
-    };
-    let Some(name) = body.str_field("name") else {
-        return err(ErrorCode::BadRequest, "missing `name` field");
-    };
-    let existed = app.remove_dataset(name);
-    if existed {
-        crate::telemetry::dataset_bytes(name).set(0);
-    }
-    (
-        200,
-        Json::obj().set("dropped", name).set("existed", existed),
     )
 }
 
@@ -788,18 +736,18 @@ mod tests {
             &app,
             &post(
                 "/admin/datasets",
-                r#"{"name":"mini#1","csv":"a,b\n1,x\n1,x\n2,y\n","types":"c,c"}"#,
+                r#"{"name":"mini","csv":"a,b\n1,x\n1,x\n2,y\n","types":"c,c"}"#,
             ),
         );
         assert_eq!(status, 200, "{body:?}");
-        assert_eq!(body.str_field("loaded"), Some("mini#1"));
+        assert_eq!(body.str_field("loaded"), Some("mini"));
         assert_eq!(body.u64_field("rows"), Some(3));
         assert_eq!(body.bool_field("replaced"), Some(false));
 
-        // The slice is queryable under its registered name right away.
+        // The dataset is queryable under its registered name right away.
         let (status, body) = handle(
             &app,
-            &post("/v1/validate", r#"{"dataset":"mini#1","rule":"a -> b"}"#),
+            &post("/v1/validate", r#"{"dataset":"mini","rule":"a -> b"}"#),
         );
         assert_eq!(status, 200);
         assert!(body.str_field("report").unwrap().contains("holds = true"));
@@ -809,34 +757,11 @@ mod tests {
             &app,
             &post(
                 "/admin/datasets",
-                r#"{"name":"mini#1","csv":"a,b\n1,x\n","types":"c,c"}"#,
+                r#"{"name":"mini","csv":"a,b\n1,x\n","types":"c,c"}"#,
             ),
         );
         assert_eq!(status, 200);
         assert_eq!(body.bool_field("replaced"), Some(true));
-    }
-
-    #[test]
-    fn admin_drop_is_idempotent_and_unregisters() {
-        let app = app();
-        let (status, _) = handle(
-            &app,
-            &post("/admin/datasets", r#"{"name":"tmp","csv":"a\n1\n"}"#),
-        );
-        assert_eq!(status, 200);
-        let (status, body) = handle(&app, &post("/admin/datasets/drop", r#"{"name":"tmp"}"#));
-        assert_eq!(status, 200);
-        assert_eq!(body.bool_field("existed"), Some(true));
-        // Second drop: still 200, just `existed: false`.
-        let (status, body) = handle(&app, &post("/admin/datasets/drop", r#"{"name":"tmp"}"#));
-        assert_eq!(status, 200);
-        assert_eq!(body.bool_field("existed"), Some(false));
-        // And the dataset is gone for task traffic.
-        let (status, _) = handle(
-            &app,
-            &post("/v1/detect", r#"{"dataset":"tmp","rule":"a -> a"}"#),
-        );
-        assert_eq!(status, 404);
     }
 
     #[test]
@@ -1018,10 +943,6 @@ mod tests {
         let key_v2 = app.cache_key(&req).unwrap();
         assert_ne!(key_v1, key_v2);
         assert!(app.cache_lookup(&key_v2).is_none());
-        // Dropping the dataset makes the request uncacheable again.
-        let (status, _) = handle(&app, &post("/admin/datasets/drop", r#"{"name":"mini"}"#));
-        assert_eq!(status, 200);
-        assert!(app.cache_key(&req).is_none());
     }
 
     #[test]

@@ -28,10 +28,10 @@ pub struct TaskReport {
     /// `Some(kind)` when a budget/cancellation truncated the work.
     pub exhausted: Option<BudgetKind>,
     /// Machine-readable FD rules discovered (discovery tasks only; the
-    /// `"a, b -> c"` form accepted by `Fd::parse`). The gateway's
-    /// fan-out merger re-validates these against the full snapshot, so
-    /// they must round-trip losslessly — unlike the truncated-for-humans
-    /// listing inside `text`.
+    /// `"a, b -> c"` form accepted by `Fd::parse`). Served discover
+    /// replies carry this full list as `fds`, so a client can parse the
+    /// rules back losslessly — unlike the truncated-for-humans listing
+    /// inside `text`.
     pub fds: Vec<String>,
 }
 
@@ -89,8 +89,8 @@ pub fn profile(r: &Relation, opts: &ProfileOpts, exec: &Exec) -> TaskReport {
     span.attr("fds", t.result.fds.len() as u64);
     drop(span);
     exhausted = exhausted.or(t.exhausted);
-    // The machine-readable list is never truncated: soundness of a
-    // downstream merge depends on seeing everything TANE verified.
+    // The machine-readable list is never truncated: a client reading
+    // `fds` sees everything TANE verified.
     let fds: Vec<String> = t.result.fds.iter().map(|fd| fd.rule().to_owned()).collect();
     line!(
         buf,
@@ -150,7 +150,7 @@ pub fn profile(r: &Relation, opts: &ProfileOpts, exec: &Exec) -> TaskReport {
         for o in ods.result.iter().take(10) {
             line!(buf, "  {o}");
         }
-        if r.n_rows() <= 500 || !exec.budget().is_unlimited() {
+        if r.n_rows() <= 500 {
             let mut span = exec.span("profile.fastdc");
             let d = dc::discover_bounded(r, &dc::DcConfig::default(), exec);
             span.attr("dcs", d.result.dcs.len() as u64);
@@ -168,7 +168,7 @@ pub fn profile(r: &Relation, opts: &ProfileOpts, exec: &Exec) -> TaskReport {
         } else {
             line!(
                 buf,
-                "\n(skipping FASTDC: {} rows > 500; sample the file or pass --timeout-ms)",
+                "\n(skipping FASTDC: {} rows > 500; sample the file)",
                 r.n_rows()
             );
         }

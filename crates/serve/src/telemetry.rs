@@ -154,7 +154,6 @@ fn normalize_route(path: &str) -> &'static str {
         "/v1/dedup" => "/v1/dedup",
         "/v1/batch" => "/v1/batch",
         "/admin/datasets" => "/admin/datasets",
-        "/admin/datasets/drop" => "/admin/datasets/drop",
         "/admin/reload" => "/admin/reload",
         _ => "other",
     }
@@ -187,18 +186,10 @@ pub fn render() -> String {
 /// Pre-registered handles for the gateway-layer series (cluster front).
 #[derive(Debug)]
 pub struct GatewayMetrics {
-    /// Scatter/gather latency of one sharded fan-out, seconds.
-    pub fanout_latency: Arc<Histogram>,
-    /// Merged responses that had to report a `degraded` detail.
-    pub degraded: Arc<Counter>,
-    /// Single-dataset requests proxied to a home worker.
+    /// Requests proxied to a dataset's holder.
     pub proxied: Arc<Counter>,
     /// Workers currently quarantined for crash-looping.
     pub quarantined: Arc<Gauge>,
-    /// Slices re-homed onto a survivor after their primary died.
-    pub reshard: Arc<Counter>,
-    /// Slice reads hedged to a second copy after the primary stalled.
-    pub hedged_reads: Arc<Counter>,
     /// Children `SIGKILL`ed because the drain deadline expired.
     pub force_kill: Arc<Counter>,
 }
@@ -207,35 +198,14 @@ impl GatewayMetrics {
     fn new() -> Self {
         let reg = obs::registry();
         GatewayMetrics {
-            fanout_latency: reg.histogram(
-                "deptree_gateway_fanout_duration_seconds",
-                "Latency of one sharded discovery fan-out (scatter to merge).",
-                &[],
-                obs::LATENCY_BUCKETS,
-            ),
-            degraded: reg.counter(
-                "deptree_gateway_degraded_total",
-                "Merged responses marked partial because a worker died or timed out.",
-                &[],
-            ),
             proxied: reg.counter(
                 "deptree_gateway_proxied_total",
-                "Single-dataset requests proxied to a home worker.",
+                "Requests proxied to a dataset's holder.",
                 &[],
             ),
             quarantined: reg.gauge(
                 "deptree_gateway_workers_quarantined",
                 "Workers currently quarantined for crash-looping.",
-                &[],
-            ),
-            reshard: reg.counter(
-                "deptree_reshard_total",
-                "Slices re-homed onto a surviving worker after their primary died.",
-                &[],
-            ),
-            hedged_reads: reg.counter(
-                "deptree_hedged_reads_total",
-                "Slice reads hedged to a second live copy after the first stalled.",
                 &[],
             ),
             force_kill: reg.counter(
@@ -295,19 +265,6 @@ pub fn set_slot_state(slot: usize, state: &str) {
     for s in SLOT_STATES {
         slot_state(slot, s).set(i64::from(s == state));
     }
-}
-
-/// Per-worker in-flight gauge on the gateway side:
-/// `deptree_gateway_worker_inflight{worker="N"}` — requests this
-/// gateway currently has outstanding against the worker. The fan-out
-/// reads it to pick the least-loaded live copy of a slice.
-pub fn worker_inflight(worker: usize) -> Arc<Gauge> {
-    let id = worker.to_string();
-    obs::registry().gauge(
-        "deptree_gateway_worker_inflight",
-        "Requests the gateway currently has outstanding against this worker.",
-        &[("worker", id.as_str())],
-    )
 }
 
 /// Per-dataset resident-footprint gauge:
@@ -457,17 +414,12 @@ deptree_request_duration_seconds_sum 0.5
         let _ = gateway_metrics();
         let _ = worker_up(0);
         set_slot_state(0, "up");
-        let _ = worker_inflight(0);
         let text = render();
         for series in [
-            "deptree_gateway_fanout_duration_seconds",
-            "deptree_gateway_degraded_total",
+            "deptree_gateway_proxied_total",
             "deptree_gateway_workers_quarantined",
             "deptree_gateway_worker_up",
-            "deptree_reshard_total",
-            "deptree_hedged_reads_total",
             "deptree_worker_force_kill_total",
-            "deptree_gateway_worker_inflight",
         ] {
             assert!(text.contains(series), "missing {series} in:\n{text}");
         }

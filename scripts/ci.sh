@@ -40,14 +40,16 @@
 #      every load-bearing series (including the response-cache counters),
 #      SIGTERM it, and require a graceful
 #      exit 0;
-#   9. gateway smoke — boot `deptree gateway` with two sharded workers,
-#      round-trip a merged discover, `kill -9` one worker and require the
-#      fan-out to *heal* (full, byte-identical answers via failover
-#      re-sharding) before the supervisor's respawn, require the
-#      self-healing metric series in the aggregated /metrics, then
-#      SIGTERM-drain the whole fleet to exit 0;
-#  10. rolling-restart smoke — boot a three-worker sharded gateway, keep
-#      a continuous `deptree query` loop running, trigger
+#   9. gateway smoke — boot `deptree gateway` with two workers holding
+#      `hotels` whole, require its discover reply to be byte-identical
+#      to the same recorded snapshot, `kill -9` the home worker of
+#      `hotels` and require the very next discover to fail over to the
+#      other holder with the same bytes before the supervisor's respawn,
+#      require the supervision and proxy series in the aggregated
+#      /metrics, then the respawn, then SIGTERM-drain the whole fleet to
+#      exit 0;
+#  10. rolling-restart smoke — boot a three-worker gateway, keep a
+#      continuous `deptree query` loop running, trigger
 #      `deptree query reload`, and require zero dropped requests while
 #      every worker restarts exactly once.
 set -euo pipefail
@@ -148,13 +150,13 @@ done
 kill -TERM "$serve_pid"
 wait "$serve_pid"   # set -e: non-zero (ungraceful) drain fails the gate
 
-echo "== gateway smoke (shard fan-out, worker kill → re-shard heal, respawn, drain) =="
+echo "== gateway smoke (whole-dataset proxy, home worker kill → failover, respawn, drain) =="
 gw_log="$(mktemp)"
 trap 'rm -f "$serve_log" "$gw_log"' EXIT
-# A wide respawn window so the healed answers below are provably the
-# work of failover re-sharding, not of the supervisor's respawn.
+# A wide respawn window, so the answer right after the kill is provably
+# the work of failover to the other holder, not of the respawn.
 target/release/deptree gateway --data hotels=data/hotels.csv:t,t,t,n,n \
-    --shard hotels --workers 2 --respawn-base-ms 3000 \
+    --workers 2 --respawn-base-ms 3000 \
     --addr 127.0.0.1:0 >"$gw_log" 2>&1 &
 gw_pid=$!
 gw_addr=""
@@ -172,51 +174,40 @@ done
 [ "$(grep -c ') up at ' "$gw_log")" -ge 2 ] || {
     echo "gateway workers never came up"; cat "$gw_log"; exit 1; }
 
-# A healthy merged fan-out first — the baseline the healed answers
-# must reproduce byte-for-byte.
-gw_baseline="$(target/release/deptree query discover --addr "$gw_addr" \
+# The gateway's answer is the worker's, which is the CLI's: the same
+# recorded snapshot the serve smoke checks.
+gw_reply="$(target/release/deptree query discover --addr "$gw_addr" \
     --dataset hotels --max-lhs 2)"
+if ! diff <(printf '%s\n' "$gw_reply") tests/snapshots/discover_hotels_maxlhs2.txt; then
+    echo "gateway discover reply drifted from the recorded snapshot"
+    exit 1
+fi
 
-# kill -9 one worker: within the re-shard budget (and well before the
-# 3s respawn backoff) the fan-out must be whole again — the dead
-# worker's slice re-homed onto the survivor. A sound degraded partial
-# (exit 6) is tolerated only inside the brief re-home window; any
-# other exit code is a dropped request and fails the gate.
-victim="$(sed -n 's/^gateway: worker 0 (pid \([0-9]*\)) up at.*/\1/p' "$gw_log" | head -n 1)"
-[ -n "$victim" ] || { echo "no worker 0 pid in gateway log"; cat "$gw_log"; exit 1; }
+# kill -9 the home worker of `hotels`: the very next discover must exit
+# 0 with the same bytes, served by the other holder while the killed
+# worker's restart counter still reads 0.
+home="$(sed -n 's/^gateway: dataset `hotels` on worker(s) \([0-9]*\).*/\1/p' "$gw_log")"
+[ -n "$home" ] || { echo "no home worker for hotels in gateway log"; cat "$gw_log"; exit 1; }
+victim="$(sed -n "s/^gateway: worker $home (pid \([0-9]*\)) up at.*/\1/p" "$gw_log" | head -n 1)"
+[ -n "$victim" ] || { echo "no worker $home pid in gateway log"; cat "$gw_log"; exit 1; }
 kill -9 "$victim"
-healed=""
-healed_reply=""
-for _ in $(seq 1 50); do
-    set +e
-    healed_reply="$(target/release/deptree query discover --addr "$gw_addr" \
-        --dataset hotels --max-lhs 2 2>/dev/null)"
-    healed_rc=$?
-    set -e
-    if [ "$healed_rc" -eq 0 ]; then healed=yes; break; fi
-    [ "$healed_rc" -eq 6 ] || {
-        echo "expected healed (0) or sound partial (6) after the kill, got $healed_rc"
-        echo "$healed_reply"; cat "$gw_log"; exit 1; }
-    sleep 0.05
-done
-[ -n "$healed" ] || {
-    echo "fan-out never healed inside the re-shard budget"; cat "$gw_log"; exit 1; }
-[ "$healed_reply" = "$gw_baseline" ] || {
-    echo "re-sharded reply drifted from the healthy baseline:"
-    diff <(printf '%s\n' "$gw_baseline") <(printf '%s\n' "$healed_reply") || true
+if ! failover_reply="$(target/release/deptree query discover --addr "$gw_addr" \
+    --dataset hotels --max-lhs 2)"; then
+    echo "discover failed right after the home worker was killed"; cat "$gw_log"; exit 1
+fi
+[ "$failover_reply" = "$gw_reply" ] || {
+    echo "failover reply drifted from the healthy one:"
+    diff <(printf '%s\n' "$gw_reply") <(printf '%s\n' "$failover_reply") || true
     exit 1; }
 gw_metrics="$(target/release/deptree query metrics --addr "$gw_addr")"
-grep -Eq '^deptree_reshard_total [1-9]' <<<"$gw_metrics" || {
-    echo "healed answers without a re-shard on the books"; echo "$gw_metrics"; exit 1; }
-grep -Fq 'deptree_gateway_worker_restarts_total{worker="0"} 0' <<<"$gw_metrics" || {
-    echo "heal arrived only after the respawn — that is not re-sharding"
+grep -Fq "deptree_gateway_worker_restarts_total{worker=\"$home\"} 0" <<<"$gw_metrics" || {
+    echo "the failover answer arrived only after the respawn"
     echo "$gw_metrics"; cat "$gw_log"; exit 1; }
 
-echo "== gateway metrics scrape (self-healing series present) =="
+echo "== gateway metrics scrape (supervision and proxy series present) =="
 for series in \
     deptree_worker_slot_state \
-    deptree_reshard_total \
-    deptree_hedged_reads_total \
+    deptree_gateway_proxied_total \
     deptree_worker_force_kill_total; do
     if ! grep -qF "$series" <<<"$gw_metrics"; then
         echo "missing required gateway metrics series: $series"
@@ -225,18 +216,18 @@ for series in \
     fi
 done
 
-# The supervisor still respawns the worker, visible in the aggregated
-# scrape; once it settles, the replane loop re-absorbs the slice.
+# The supervisor still respawns the killed worker, visible in the
+# aggregated scrape.
 restarted=""
 for _ in $(seq 1 150); do
     if target/release/deptree query metrics --addr "$gw_addr" \
-        | grep -Eq 'deptree_gateway_worker_restarts_total\{worker="0"\} [1-9]'; then
+        | grep -Eq "deptree_gateway_worker_restarts_total\{worker=\"$home\"\} [1-9]"; then
         restarted=yes
         break
     fi
     sleep 0.2
 done
-[ -n "$restarted" ] || { echo "worker 0 never respawned"; cat "$gw_log"; exit 1; }
+[ -n "$restarted" ] || { echo "worker $home never respawned"; cat "$gw_log"; exit 1; }
 
 kill -TERM "$gw_pid"
 wait "$gw_pid"   # set -e: a fleet that does not drain to 0 fails the gate
@@ -247,7 +238,7 @@ reload_fail_log="$(mktemp)"
 reload_keep="$(mktemp)"
 trap 'rm -f "$serve_log" "$gw_log" "$gw2_log" "$reload_fail_log" "$reload_keep"' EXIT
 target/release/deptree gateway --data hotels=data/hotels.csv:t,t,t,n,n \
-    --shard hotels --workers 3 --addr 127.0.0.1:0 >"$gw2_log" 2>&1 &
+    --workers 3 --addr 127.0.0.1:0 >"$gw2_log" 2>&1 &
 gw2_pid=$!
 gw2_addr=""
 for _ in $(seq 1 100); do

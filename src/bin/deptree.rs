@@ -20,8 +20,8 @@
 //!                            [--error E] [--timeout-ms MS] [--max-nodes N] [--max-rows N]
 //!                            [--retries N] [--max-attempts N] [--seed S] [--out FILE]
 //!                            [--repeat N]
-//! deptree gateway --data name=path[:types] [--data ...] [--shard NAME] [--workers N]
-//!                            [--addr HOST:PORT] [--worker-bin PATH] [--replicas N]
+//! deptree gateway --data name=path[:types] [--data ...] [--workers N] [--replicas N]
+//!                            [--addr HOST:PORT] [--worker-bin PATH]
 //!                            [--respawn-base-ms MS] [--respawn-max-ms MS]
 //!                            [--quarantine-after K] [--quarantine-cooldown-ms MS]
 //!                            [--probe-interval-ms MS] [--default-timeout-ms MS]
@@ -36,8 +36,8 @@
 //! rule. `serve` exposes the same tasks over HTTP against preloaded
 //! datasets (see DESIGN.md §10); `query` is the matching retry client.
 //! `gateway` supervises a fleet of `serve` workers — crash respawn with
-//! backoff, crash-loop quarantine, digest sharding and degraded-partial
-//! fan-out (DESIGN.md §12).
+//! backoff, crash-loop quarantine, digest placement of whole datasets,
+//! and byte-identical proxying with failover (DESIGN.md §12).
 //!
 //! ## Budgets, cancellation and exit codes
 //!
@@ -124,8 +124,8 @@ fn main() -> ExitCode {
             );
             esay!("                             [--keys a,b] [--timeout-ms MS] [--retries N]");
             esay!("                             [--max-attempts N] [--repeat N]");
-            esay!("  deptree gateway --data name=path[:types] [--shard NAME] [--workers N]");
-            esay!("                             [--addr HOST:PORT] [--worker-bin PATH] [--replicas N]");
+            esay!("  deptree gateway --data name=path[:types] [--workers N] [--replicas N]");
+            esay!("                             [--addr HOST:PORT] [--worker-bin PATH]");
             esay!("                             [--respawn-base-ms MS] [--quarantine-after K]");
             esay!("                             [--drain-grace-ms MS] [--chaos-plan SEED]");
             esay!("                             [--threads T] [--lossy]");
@@ -502,30 +502,25 @@ fn serve_cmd(args: &[String]) -> Result<(), CliError> {
 }
 
 /// `deptree gateway`: supervise a fleet of `deptree serve` workers and
-/// front them with sharding, health-probed respawn and degraded-partial
-/// fan-out (DESIGN.md §12).
+/// front them with health-probed respawn and byte-identical proxying to
+/// each dataset's holders (DESIGN.md §12).
 fn gateway_cmd(args: &[String]) -> Result<(), CliError> {
     let specs = flag_all(args, "--data");
     if specs.is_empty() {
         return Err(usage("gateway needs at least one --data name=path[:types]"));
     }
-    let shard_names = flag_all(args, "--shard");
+    // Unknown flags are otherwise ignored; a script still passing the
+    // removed `--shard` must fail loudly, not get another deployment.
+    if args.iter().any(|a| a == "--shard") {
+        return Err(usage(
+            "--shard is gone: every dataset is served whole; use --replicas N for extra copies",
+        ));
+    }
     let lossy = args.iter().any(|a| a == "--lossy");
     let mut datasets = Vec::new();
     for spec in &specs {
         let (name, path, types) = parse_data_spec(spec)?;
-        let shard = shard_names.iter().any(|s| s == &name);
-        datasets.push(DatasetSpec {
-            name,
-            path,
-            types,
-            shard,
-        });
-    }
-    for shard in &shard_names {
-        if !datasets.iter().any(|d| &d.name == shard) {
-            return Err(usage(format!("--shard `{shard}` names no --data dataset")));
-        }
+        datasets.push(DatasetSpec { name, path, types });
     }
 
     let d = GatewayConfig::default();

@@ -87,6 +87,16 @@ fn unknown_command_fails_with_usage() {
     let (_, stderr, ok) = deptree(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"));
+    // The removed `--shard` fails loudly instead of being ignored.
+    let (_, stderr, ok) = deptree(&[
+        "gateway",
+        "--data",
+        "hotels=data/hotels.csv",
+        "--shard",
+        "hotels",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("usage:") && stderr.contains("--replicas"));
 }
 
 #[test]

@@ -1,8 +1,9 @@
-//! Fault-injection suite for `deptree serve`: drives the real server —
-//! in-process for the protocol/load/drain scenarios, as a child process
-//! for the SIGTERM one — through malformed frames, truncated frames,
-//! oversized bodies, slow clients, mid-response disconnects, queue
-//! overflow and drain-under-load.
+//! Fault-injection suite for `deptree serve` and `deptree gateway`:
+//! drives the real server — in-process for the protocol/load/drain
+//! scenarios, as a child process for the SIGTERM ones — through
+//! malformed frames, truncated frames, oversized bodies, slow clients,
+//! mid-response disconnects, queue overflow, drain-under-load, and
+//! worker faults behind the gateway.
 //!
 //! The standing assertions across every scenario:
 //!
@@ -12,11 +13,12 @@
 //! - **bounded memory** — oversized headers/bodies are rejected from
 //!   their declared sizes, before the bytes are buffered;
 //! - **byte identity** — the server's `report` for a request equals the
-//!   CLI's stdout for the same task, at thread counts 1 and 8.
+//!   CLI's stdout for the same task, at thread counts 1 and 8, and so
+//!   does the gateway's.
 
 use deptree::core::engine::{signal, Exec};
 use deptree::relation::examples::hotels_r1;
-use deptree::relation::{to_csv, Relation, RelationBuilder, Value, ValueType};
+use deptree::relation::{parse_csv, to_csv, Relation, RelationBuilder, Value, ValueType};
 use deptree::serve::protocol::Limits;
 use deptree::serve::tasks::{profile, ProfileOpts};
 use deptree::serve::{
@@ -691,11 +693,17 @@ fn cli_stdout(args: &[&str]) -> String {
 
 #[test]
 fn server_reports_are_byte_identical_to_the_cli_at_any_thread_count() {
+    let numeric_csv = numeric_table_csv();
+    let numeric_path = write_temp_text("numeric-cli", &numeric_csv);
+    let numeric = parse_csv(&numeric_csv, &NUMERIC_TYPES).expect("numeric table parses");
     for threads in [1usize, 8] {
-        let config = ServeConfig {
+        let mut config = ServeConfig {
             threads,
             ..test_config()
         };
+        config
+            .datasets
+            .push(("numeric".to_owned(), numeric.clone()));
         let handle = start(config);
         let client = client(&handle);
         let t = threads.to_string();
@@ -722,6 +730,32 @@ fn server_reports_are_byte_identical_to_the_cli_at_any_thread_count() {
             resp.body.str_field("report").expect("report"),
             cli,
             "discover report diverges from CLI stdout at {threads} thread(s)"
+        );
+
+        // discover past the FASTDC row gate: the server's deadline must
+        // not change which profile stages run.
+        let cli = cli_stdout(&[
+            "profile",
+            &numeric_path.display().to_string(),
+            "--types",
+            "c,n,n,n",
+            "--max-lhs",
+            "2",
+            "--threads",
+            &t,
+        ]);
+        let resp = deptree::serve::query(
+            &client,
+            "POST",
+            "/v1/discover",
+            Some(&discover_body("numeric")),
+        )
+        .expect("discover numeric");
+        assert_eq!(resp.body.bool_field("partial"), Some(false));
+        assert_eq!(
+            resp.body.str_field("report").expect("report"),
+            cli,
+            "numeric discover report diverges from CLI stdout at {threads} thread(s)"
         );
 
         // detect
@@ -752,6 +786,7 @@ fn server_reports_are_byte_identical_to_the_cli_at_any_thread_count() {
 
         stop(handle);
     }
+    let _ = std::fs::remove_file(&numeric_path);
 }
 
 #[test]
@@ -785,21 +820,92 @@ fn retryable_draining_exhausts_the_retry_budget() {
 // ───────────────────────── gateway_faults ─────────────────────────
 //
 // The same standing assertions, one level up: `deptree gateway` fronts a
-// supervised fleet of `deptree serve` workers, and no worker fault —
-// SIGKILL mid-fan-out, a crash-looping binary, a dead home worker — may
-// surface as a failed request. Degradation is always a sound partial.
+// supervised fleet of `deptree serve` workers, and no worker fault — a
+// SIGKILLed home worker, a crash-looping binary, a chaos schedule, a
+// rolling restart — may surface as a failed request or as an answer
+// that differs from the CLI's.
 
-/// Write a relation to a temp CSV the worker processes can load.
-fn write_temp_csv(tag: &str, r: &Relation) -> PathBuf {
+/// Write CSV text to a temp file the CLI and worker processes can load.
+fn write_temp_text(tag: &str, csv: &str) -> PathBuf {
     let path =
         std::env::temp_dir().join(format!("deptree-gwtest-{}-{tag}.csv", std::process::id()));
-    std::fs::write(&path, to_csv(r)).expect("write dataset csv");
+    std::fs::write(&path, csv).expect("write dataset csv");
     path
 }
 
-/// `a -> b` holds globally — and therefore on every row slice — by
-/// construction; `c` and `d` are noise so discovery has candidates to
-/// reject as well as accept.
+/// Write a relation to a temp CSV the worker processes can load.
+fn write_temp_csv(tag: &str, r: &Relation) -> PathBuf {
+    write_temp_text(tag, &to_csv(r))
+}
+
+/// Eight rows, each region's rows contiguous, on which exactly
+/// `city -> region`, `store -> city` and `store -> region` hold. Either
+/// half of the rows sees `region` as a constant, so discovery over row
+/// slices would report `-> region` in place of the FDs into it: only an
+/// answer computed on the whole table is right.
+const REGIONS_CSV: &str = "city,region,store\n\
+    c1,north,s1\nc1,north,s2\nc2,north,s3\nc2,north,s4\n\
+    c3,south,s5\nc3,south,s6\nc4,south,s7\nc4,south,s8\n";
+
+/// Column types of [`numeric_table_csv`].
+const NUMERIC_TYPES: [ValueType; 4] = [
+    ValueType::Categorical,
+    ValueType::Numeric,
+    ValueType::Numeric,
+    ValueType::Numeric,
+];
+
+/// 2,000 rows of one categorical and three numeric columns: past the
+/// profile's 500-row FASTDC gate, so the CLI, the server and the gateway
+/// must all skip FASTDC on it, whatever deadline each runs under.
+fn numeric_table_csv() -> String {
+    let mut rng = Rng::seed_from_u64(29);
+    let mut csv = String::from("shop,qty,price,total\n");
+    for _ in 0..2000 {
+        let shop = rng.random_range(0..6u8);
+        let qty = rng.random_range(1..50u32);
+        let price = rng.random_range(1..20u32);
+        csv.push_str(&format!("s{shop},{qty},{price},{}\n", qty * price));
+    }
+    csv
+}
+
+/// The in-process profile of `r` at max LHS 2: what every gateway
+/// discover on it must report.
+fn profile_report(r: &Relation) -> String {
+    profile(
+        r,
+        &ProfileOpts {
+            max_lhs: 2,
+            error: 0.0,
+        },
+        &Exec::unbounded(),
+    )
+    .text
+}
+
+/// A reply body with every `elapsed_ms` field dropped: wall-clock time
+/// is the one part two runs of an uncached request cannot share.
+fn timeless(body: &[u8]) -> Json {
+    fn strip(v: Json) -> Json {
+        match v {
+            Json::Obj(fields) => Json::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(k, _)| k != "elapsed_ms")
+                    .map(|(k, v)| (k, strip(v)))
+                    .collect(),
+            ),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(strip).collect()),
+            other => other,
+        }
+    }
+    let text = std::str::from_utf8(body).expect("UTF-8 reply");
+    strip(Json::parse(text).expect("JSON reply"))
+}
+
+/// `a -> b` holds by construction; `c` and `d` are noise so discovery
+/// has candidates to reject as well as accept.
 fn planted_relation(n_rows: usize, seed: u64) -> Relation {
     let mut rng = Rng::seed_from_u64(seed);
     let mut b = RelationBuilder::new()
@@ -928,120 +1034,216 @@ fn sh(cmd: &str) -> bool {
 
 #[test]
 fn gateway_proxies_whole_dataset_requests_byte_identically() {
-    let r = planted_relation(40, 3);
-    let csv = write_temp_csv("proxy", &r);
+    let planted = write_temp_csv("proxy", &planted_relation(40, 3));
+    let regions = write_temp_text("regions", REGIONS_CSV);
+    let numeric = write_temp_text("numeric-gw", &numeric_table_csv());
+    let spec = |name: &str, path: &PathBuf, types: Option<&str>| DatasetSpec {
+        name: name.to_owned(),
+        path: path.display().to_string(),
+        types: types.map(str::to_owned),
+    };
+    let datasets = vec![
+        spec("planted", &planted, None),
+        spec("regions", &regions, None),
+        spec("numeric", &numeric, Some("c,n,n,n")),
+    ];
+    for threads in [1usize, 8] {
+        let config = GatewayConfig {
+            worker_threads: threads,
+            ..gateway_config(datasets.clone(), 2)
+        };
+        let handle = spawn_gateway(config).expect("gateway");
+        let cfg = gw_client(&handle);
+        wait_workers_up(&cfg, 2);
+
+        // The home worker's own address, from the gateway's health
+        // report: the oracle is the very worker the proxy talks to,
+        // nothing re-rendered.
+        let home = handle.holders("planted").expect("planted is placed")[0];
+        let health = deptree::serve::query(&cfg, "GET", "/healthz", None).expect("healthz");
+        let workers = health
+            .body
+            .get("workers")
+            .and_then(Json::as_arr)
+            .expect("workers");
+        let wcfg = ClientConfig {
+            addr: workers[home]
+                .str_field("addr")
+                .expect("worker addr")
+                .to_owned(),
+            retries: 0,
+            io_timeout: Duration::from_secs(30),
+            ..ClientConfig::default()
+        };
+
+        // A deterministic success (cached by the worker, so replayed
+        // byte-for-byte) and a deterministic error, as raw bytes; then a
+        // batch on one dataset, which the worker never caches, equal up
+        // to its wall-clock `elapsed_ms`.
+        let detect = Json::obj().set("dataset", "planted").set("rule", "a -> b");
+        let bad = Json::obj()
+            .set("dataset", "planted")
+            .set("timeout_ms", "banana");
+        let batch = Json::obj().set("requests", vec![detect.clone().set("task", "detect")]);
+        for (path, body) in [
+            ("/v1/detect", &detect),
+            ("/v1/discover", &bad),
+            ("/v1/batch", &batch),
+        ] {
+            let body = body.render().into_bytes();
+            let via_gateway = forward(&cfg, "POST", path, Some(&body)).expect("via gateway");
+            let direct = forward(&wcfg, "POST", path, Some(&body)).expect("direct to worker");
+            assert_eq!(via_gateway.status, direct.status, "{path}");
+            if path == "/v1/batch" {
+                assert_eq!(
+                    timeless(&via_gateway.body),
+                    timeless(&direct.body),
+                    "{path}: gateway reply diverges from the worker's own"
+                );
+            } else {
+                assert_eq!(
+                    via_gateway.body, direct.body,
+                    "{path}: gateway bytes diverge from the worker's own"
+                );
+            }
+        }
+
+        // A batch spanning two datasets would need a fan-out across
+        // holders: refused whole.
+        let mixed = Json::obj().set(
+            "requests",
+            vec![
+                detect.clone().set("task", "detect"),
+                Json::obj()
+                    .set("task", "detect")
+                    .set("dataset", "regions")
+                    .set("rule", "city -> region"),
+            ],
+        );
+        let err = deptree::serve::query(&cfg, "POST", "/v1/batch", Some(&mixed))
+            .expect_err("a batch over two datasets must be refused");
+        assert_eq!(err.code, ErrorCode::Unsupported, "{err}");
+
+        // Discover through the gateway is the CLI's profile: on
+        // `regions`, every FD into `region`; on the numeric table, the
+        // same skipped FASTDC stage.
+        for (name, path, types) in [
+            ("regions", &regions, "c,c,c"),
+            ("numeric", &numeric, "c,n,n,n"),
+        ] {
+            let cli = cli_stdout(&[
+                "profile",
+                &path.display().to_string(),
+                "--types",
+                types,
+                "--max-lhs",
+                "2",
+                "--threads",
+                &threads.to_string(),
+            ]);
+            let resp =
+                deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&discover_body(name)))
+                    .expect("discover via gateway");
+            assert_eq!(resp.body.bool_field("partial"), Some(false), "{name}");
+            assert_eq!(
+                resp.body.str_field("report").expect("report"),
+                cli,
+                "{name}: gateway report diverges from CLI stdout at {threads} thread(s)"
+            );
+            if name == "regions" {
+                assert_eq!(
+                    fds_of(&resp.body),
+                    ["city -> region", "store -> city", "store -> region"]
+                );
+            }
+        }
+
+        handle.drain_and_join();
+    }
+    for path in [planted, regions, numeric] {
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A three-worker gateway holding `csv` whole as `planted`: on its
+/// home, one successor replica and the bare worker topped up as a spare.
+/// `respawn_base` is the window a killed worker stays down for.
+fn failover_fleet(csv: &std::path::Path, respawn_base: Duration) -> (GatewayHandle, ClientConfig) {
     let spec = DatasetSpec {
         name: "planted".to_owned(),
         path: csv.display().to_string(),
         types: None,
-        shard: false,
     };
-    let handle = spawn_gateway(gateway_config(vec![spec], 1)).expect("gateway");
+    let config = GatewayConfig {
+        replicas: 1,
+        respawn_base,
+        respawn_max: respawn_base * 3,
+        ..gateway_config(vec![spec], 3)
+    };
+    let handle = spawn_gateway(config).expect("gateway");
     let cfg = gw_client(&handle);
-    wait_workers_up(&cfg, 1);
-
-    // The worker's own address, from the gateway's health report: the
-    // oracle is the very worker the proxy talks to, nothing re-rendered.
-    let health = deptree::serve::query(&cfg, "GET", "/healthz", None).expect("healthz");
-    let workers = health
-        .body
-        .get("workers")
-        .and_then(Json::as_arr)
-        .expect("workers");
-    let waddr = workers[0]
-        .str_field("addr")
-        .expect("worker addr")
-        .to_owned();
-    let wcfg = ClientConfig {
-        addr: waddr,
-        retries: 0,
-        io_timeout: Duration::from_secs(30),
-        ..ClientConfig::default()
-    };
-
-    // A deterministic success and a deterministic error, as raw bytes.
-    let detect = Json::obj()
-        .set("dataset", "planted")
-        .set("rule", "a -> b")
-        .render()
-        .into_bytes();
-    let bad = Json::obj()
-        .set("dataset", "planted")
-        .set("timeout_ms", "banana")
-        .render()
-        .into_bytes();
-    for (path, body) in [("/v1/detect", &detect), ("/v1/discover", &bad)] {
-        let via_gateway = forward(&cfg, "POST", path, Some(body)).expect("via gateway");
-        let direct = forward(&wcfg, "POST", path, Some(body)).expect("direct to worker");
-        assert_eq!(via_gateway.status, direct.status, "{path}");
-        assert_eq!(
-            via_gateway.body, direct.body,
-            "{path}: gateway bytes diverge from the worker's own"
-        );
-    }
-
-    handle.drain_and_join();
-    let _ = std::fs::remove_file(&csv);
+    wait_workers_up(&cfg, 3);
+    let holders = handle.holders("planted").expect("planted is placed");
+    assert_eq!(holders.len(), 3, "{holders:?}");
+    (handle, cfg)
 }
 
+/// A discover on a whole dataset answers 200, `partial: false`, with
+/// exactly `want` — the in-process profile of the full table.
+fn assert_whole(resp: &deptree::serve::Response, want: &str, when: &str) {
+    assert_eq!(resp.status, 200, "{when}");
+    assert_eq!(
+        resp.body.bool_field("partial"),
+        Some(false),
+        "{when}: {}",
+        resp.body.render()
+    );
+    assert_eq!(resp.body.str_field("report"), Some(want), "{when}");
+}
+
+/// Wait for the supervisor to respawn worker `slot` after `victim` died.
+fn wait_respawn(handle: &GatewayHandle, slot: usize, victim: u32, within: Duration) {
+    let deadline = Instant::now() + within;
+    loop {
+        let pids = handle.worker_pids();
+        if handle.worker_restarts() >= 1 && matches!(pids[slot], Some(p) if p != victim) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "worker {slot} did not respawn within {within:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// Every dataset lives whole on its holders, so a SIGKILL of the home
+/// worker while discovers are in flight no longer degrades any answer:
+/// each one fails over to another holder and stays the full profile.
+/// The supervisor then respawns the worker and drain reaps the fleet.
 #[test]
 fn sigkill_mid_fanout_degrades_soundly_and_the_worker_respawns() {
     let full = planted_relation(400, 7);
     let csv = write_temp_csv("fanout", &full);
-    let spec = DatasetSpec {
-        name: "planted".to_owned(),
-        path: csv.display().to_string(),
-        types: None,
-        shard: true,
-    };
-    let config = GatewayConfig {
-        // A wide respawn window, so requests fired right after the kill
-        // reliably land while the shard is still down.
-        respawn_base: Duration::from_millis(800),
-        respawn_max: Duration::from_secs(2),
-        ..gateway_config(vec![spec], 4)
-    };
-    let handle = spawn_gateway(config).expect("gateway");
-    let cfg = gw_client(&handle);
-    wait_workers_up(&cfg, 4);
-
-    // From-scratch ground truth on the full data: the fault gate asserts
-    // every degraded answer stays inside this set.
-    let scratch: std::collections::BTreeSet<String> = profile(
-        &full,
-        &ProfileOpts {
-            max_lhs: 2,
-            error: 0.0,
-        },
-        &Exec::unbounded(),
-    )
-    .fds
-    .into_iter()
-    .collect();
-    assert!(scratch.contains("a -> b"), "{scratch:?}");
-
-    // Healthy merge first: all four shards answer, nothing degraded.
+    // A respawn window far wider than the requests below take: every
+    // answer inside it comes from another holder, not the respawn.
+    let (handle, cfg) = failover_fleet(&csv, Duration::from_secs(3));
+    let want = profile_report(&full);
     let body = discover_body("planted");
-    let resp =
-        deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("healthy discover");
-    assert_eq!(resp.status, 200);
-    assert_eq!(
-        resp.body.bool_field("partial"),
-        Some(false),
-        "{}",
-        resp.body.render()
+    assert_whole(
+        &deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("healthy"),
+        &want,
+        "healthy",
     );
-    assert!(fds_of(&resp.body).contains(&"a -> b".to_owned()));
 
-    // SIGKILL one worker, then immediately hammer the gateway from four
-    // clients inside the respawn window.
-    let victim = handle.worker_pids()[1].expect("worker 1 pid");
-    assert!(signal::send(victim, 9), "SIGKILL worker 1");
-
+    // Four clients issue discovers back to back; the kill lands in the
+    // middle of their stream.
+    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let addr = handle.addr().to_string();
     let clients: Vec<_> = (0..4)
         .map(|i| {
             let addr = addr.clone();
+            let stop = stop.clone();
             std::thread::spawn(move || {
                 let cfg = ClientConfig {
                     addr,
@@ -1050,71 +1252,46 @@ fn sigkill_mid_fanout_degrades_soundly_and_the_worker_respawns() {
                     seed: i as u64,
                     ..ClientConfig::default()
                 };
-                deptree::serve::query(
-                    &cfg,
-                    "POST",
-                    "/v1/discover",
-                    Some(&discover_body("planted")),
-                )
+                let mut replies = Vec::new();
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    replies.push(deptree::serve::query(
+                        &cfg,
+                        "POST",
+                        "/v1/discover",
+                        Some(&discover_body("planted")),
+                    ));
+                }
+                replies
             })
         })
         .collect();
-
-    let mut degraded_seen = 0usize;
+    std::thread::sleep(Duration::from_millis(100));
+    let home = handle.holders("planted").expect("planted is placed")[0];
+    let victim = handle.worker_pids()[home].expect("home worker pid");
+    assert!(signal::send(victim, 9), "SIGKILL the home worker");
+    std::thread::sleep(Duration::from_millis(400));
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
     for c in clients {
-        // The fault gate: never a non-200, and every answer is sound.
-        let resp = c
-            .join()
-            .expect("client thread")
-            .expect("a fan-out during a worker fault must still answer 200");
-        assert_eq!(resp.status, 200);
-        for rule in fds_of(&resp.body) {
-            assert!(
-                scratch.contains(&rule),
-                "merged rule `{rule}` is not in the from-scratch set {scratch:?}"
-            );
-        }
-        if resp.body.get("degraded").is_some() {
-            degraded_seen += 1;
-            assert_eq!(
-                resp.body.bool_field("partial"),
-                Some(true),
-                "{}",
-                resp.body.render()
-            );
+        let replies = c.join().expect("client thread");
+        assert!(!replies.is_empty(), "a client never got an answer");
+        for reply in replies {
+            let resp = reply.expect("a discover during a worker fault must still answer");
+            assert_whole(&resp, &want, "in flight around the kill");
         }
     }
-    assert!(
-        degraded_seen > 0,
-        "a SIGKILL inside the respawn window must degrade at least one fan-out"
-    );
-
-    // The supervisor notices and respawns within the backoff budget.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let pids = handle.worker_pids();
-        if handle.worker_restarts() >= 1 && matches!(pids[1], Some(p) if p != victim) {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "worker 1 did not respawn within 10s"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    wait_workers_up(&cfg, 4);
-
-    // Recovered: a fresh fan-out is whole again.
-    let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-        .expect("post-respawn discover");
-    assert_eq!(resp.status, 200);
     assert_eq!(
-        resp.body.bool_field("partial"),
-        Some(false),
-        "{}",
-        resp.body.render()
+        handle.worker_restarts(),
+        0,
+        "the answers above must predate the respawn"
     );
-    assert!(fds_of(&resp.body).contains(&"a -> b".to_owned()));
+
+    wait_respawn(&handle, home, victim, Duration::from_secs(20));
+    wait_workers_up(&cfg, 3);
+    assert_whole(
+        &deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("respawned"),
+        &want,
+        "after the respawn",
+    );
 
     // Shutdown reaps the whole fleet — no zombies, no orphans.
     let last = handle.worker_pids();
@@ -1128,6 +1305,50 @@ fn sigkill_mid_fanout_degrades_soundly_and_the_worker_respawns() {
     let _ = std::fs::remove_file(&csv);
 }
 
+/// With the home worker dead, its replica and the spare already hold
+/// the whole dataset: reads fail over to byte-identical answers while
+/// the placement stays exactly as it was — nothing is re-homed.
+#[test]
+fn replica_reads_cover_a_dead_primary_without_resharding() {
+    let full = planted_relation(300, 13);
+    let csv = write_temp_csv("replica", &full);
+    let (handle, cfg) = failover_fleet(&csv, Duration::from_secs(3));
+    let want = profile_report(&full);
+    let body = discover_body("planted");
+    let baseline =
+        deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("baseline");
+    assert_whole(&baseline, &want, "healthy");
+
+    let holders = handle
+        .holders("planted")
+        .expect("planted is placed")
+        .to_vec();
+    let victim = handle.worker_pids()[holders[0]].expect("home worker pid");
+    assert!(signal::send(victim, 9), "SIGKILL the home worker");
+
+    // The very first read after the kill already answers whole, and so
+    // does every read after it inside the respawn window.
+    for _ in 0..5 {
+        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
+            .expect("discover during worker death");
+        assert_whole(&resp, &want, "home dead");
+        assert_eq!(
+            timeless(resp.body.render().as_bytes()),
+            timeless(baseline.body.render().as_bytes()),
+            "replica reads must equal primary reads up to `elapsed_ms`"
+        );
+    }
+    assert_eq!(handle.worker_restarts(), 0, "no respawn inside the window");
+    assert_eq!(
+        handle.holders("planted"),
+        Some(holders.as_slice()),
+        "a dead holder must not change the placement"
+    );
+
+    handle.drain_and_join();
+    let _ = std::fs::remove_file(&csv);
+}
+
 #[test]
 fn a_crash_looping_worker_binary_is_quarantined_not_hot_looped() {
     let r = planted_relation(20, 5);
@@ -1136,7 +1357,6 @@ fn a_crash_looping_worker_binary_is_quarantined_not_hot_looped() {
         name: "planted".to_owned(),
         path: csv.display().to_string(),
         types: None,
-        shard: false,
     };
     let config = GatewayConfig {
         worker_bin: PathBuf::from("false"), // exits 1 instantly, forever
@@ -1261,192 +1481,6 @@ fn metric_value(text: &str, name: &str) -> Option<f64> {
 }
 
 #[test]
-fn sigkill_resharding_heals_to_full_answers_before_the_respawn() {
-    let full = planted_relation(400, 11);
-    let csv = write_temp_csv("reshard", &full);
-    let spec = DatasetSpec {
-        name: "planted".to_owned(),
-        path: csv.display().to_string(),
-        types: None,
-        shard: true,
-    };
-    let config = GatewayConfig {
-        // A respawn window far wider than the heal deadline below: if
-        // full answers come back before it, re-sharding did it — the
-        // respawn cannot have.
-        respawn_base: Duration::from_secs(3),
-        respawn_max: Duration::from_secs(8),
-        ..gateway_config(vec![spec], 4)
-    };
-    let handle = spawn_gateway(config).expect("gateway");
-    let cfg = gw_client(&handle);
-    wait_workers_up(&cfg, 4);
-
-    let scratch: std::collections::BTreeSet<String> = profile(
-        &full,
-        &ProfileOpts {
-            max_lhs: 2,
-            error: 0.0,
-        },
-        &Exec::unbounded(),
-    )
-    .fds
-    .into_iter()
-    .collect();
-
-    // The all-healthy baseline the healed answer must match byte-for-byte.
-    let body = discover_body("planted");
-    let baseline =
-        deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("baseline");
-    assert_eq!(baseline.body.bool_field("partial"), Some(false));
-    let baseline_report = baseline
-        .body
-        .str_field("report")
-        .expect("report")
-        .to_owned();
-
-    let victim = handle.worker_pids()[1].expect("worker 1 pid");
-    assert!(signal::send(victim, 9), "SIGKILL worker 1");
-
-    // Within the heal deadline — well inside the respawn backoff — the
-    // fan-out must be whole again, with zero respawns: the slice was
-    // re-homed onto a survivor, not brought back by the supervisor.
-    let deadline = Instant::now() + Duration::from_millis(2_500);
-    let healed = loop {
-        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-            .expect("discover during worker death must still answer 200");
-        assert_eq!(resp.status, 200);
-        for rule in fds_of(&resp.body) {
-            assert!(scratch.contains(&rule), "unsound rule `{rule}` mid-fault");
-        }
-        if resp.body.bool_field("partial") == Some(false) {
-            break resp;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fan-out did not heal within the re-shard budget: {}",
-            resp.body.render()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    };
-    assert_eq!(
-        handle.worker_restarts(),
-        0,
-        "healed answers must come from re-sharding, not a respawn"
-    );
-    assert_eq!(
-        healed.body.str_field("report").expect("report"),
-        baseline_report,
-        "the re-sharded merge must be byte-identical to the healthy one"
-    );
-
-    // The healing is visible: /healthz counts the re-homed slice and the
-    // aggregated scrape carries the counter.
-    let health = deptree::serve::query(&cfg, "GET", "/healthz", None).expect("healthz");
-    assert!(health.body.u64_field("resharded").unwrap_or(0) >= 1);
-    let (status, metrics) = deptree::serve::fetch_text(&cfg, "/metrics").expect("metrics");
-    assert_eq!(status, 200);
-    assert!(
-        metric_value(&metrics, "deptree_reshard_total").unwrap_or(0.0) >= 1.0,
-        "re-homing must move deptree_reshard_total:\n{metrics}"
-    );
-
-    // After the respawn settles, the slice is re-absorbed onto its
-    // primary and the overlay empties — and answers stay whole.
-    let deadline = Instant::now() + Duration::from_secs(25);
-    loop {
-        let health = deptree::serve::query(&cfg, "GET", "/healthz", None).expect("healthz");
-        if health.body.u64_field("resharded") == Some(0) && handle.worker_restarts() >= 1 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "re-homed slice was never re-absorbed: {}",
-            health.body.render()
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-        .expect("post-reabsorb discover");
-    assert_eq!(resp.body.bool_field("partial"), Some(false));
-    assert_eq!(
-        resp.body.str_field("report").expect("report"),
-        baseline_report
-    );
-
-    handle.drain_and_join();
-    let _ = std::fs::remove_file(&csv);
-}
-
-#[test]
-fn replica_reads_cover_a_dead_primary_without_resharding() {
-    let full = planted_relation(300, 13);
-    let csv = write_temp_csv("replica", &full);
-    let spec = DatasetSpec {
-        name: "planted".to_owned(),
-        path: csv.display().to_string(),
-        types: None,
-        shard: true,
-    };
-    let config = GatewayConfig {
-        replicas: 1,
-        respawn_base: Duration::from_secs(3),
-        respawn_max: Duration::from_secs(8),
-        ..gateway_config(vec![spec], 3)
-    };
-    let handle = spawn_gateway(config).expect("gateway");
-    let cfg = gw_client(&handle);
-    wait_workers_up(&cfg, 3);
-
-    let body = discover_body("planted");
-    let baseline =
-        deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("baseline");
-    assert_eq!(baseline.body.bool_field("partial"), Some(false));
-    let baseline_report = baseline
-        .body
-        .str_field("report")
-        .expect("report")
-        .to_owned();
-
-    let victim = handle.worker_pids()[0].expect("worker 0 pid");
-    assert!(signal::send(victim, 9), "SIGKILL worker 0");
-
-    // The replica already holds every slice the primary did, so the
-    // fan-out fails over without any re-homing at all.
-    let deadline = Instant::now() + Duration::from_millis(2_500);
-    loop {
-        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-            .expect("discover during worker death");
-        assert_eq!(resp.status, 200);
-        if resp.body.bool_field("partial") == Some(false) {
-            assert_eq!(
-                resp.body.str_field("report").expect("report"),
-                baseline_report,
-                "replica reads must be byte-identical to primary reads"
-            );
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "replica failover never produced a whole answer: {}",
-            resp.body.render()
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert_eq!(handle.worker_restarts(), 0, "no respawn inside the window");
-    let health = deptree::serve::query(&cfg, "GET", "/healthz", None).expect("healthz");
-    assert_eq!(
-        health.body.u64_field("resharded"),
-        Some(0),
-        "a live replica must make re-homing unnecessary: {}",
-        health.body.render()
-    );
-
-    handle.drain_and_join();
-    let _ = std::fs::remove_file(&csv);
-}
-
-#[test]
 fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
     let full = planted_relation(240, 17);
     let csv = write_temp_csv("chaos", &full);
@@ -1454,7 +1488,6 @@ fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
         name: "planted".to_owned(),
         path: csv.display().to_string(),
         types: None,
-        shard: true,
     };
     let config = GatewayConfig {
         replicas: 1,
@@ -1472,22 +1505,10 @@ fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
     let cfg = gw_client(&handle);
     wait_workers_up(&cfg, 3);
 
-    let scratch: std::collections::BTreeSet<String> = profile(
-        &full,
-        &ProfileOpts {
-            max_lhs: 2,
-            error: 0.0,
-        },
-        &Exec::unbounded(),
-    )
-    .fds
-    .into_iter()
-    .collect();
-    assert!(scratch.contains("a -> b"), "{scratch:?}");
-
     // Query continuously across the whole 8s chaos horizon: kills,
     // wedges and slowdowns land per the seeded schedule, and every
-    // single answer must be a sound 200.
+    // single answer must be a whole 200 equal to the in-process profile.
+    let want = profile_report(&full);
     let body = discover_body("planted");
     let horizon = Instant::now() + Duration::from_millis(8_500);
     let mut answers = 0u32;
@@ -1495,12 +1516,12 @@ fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
         let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
             .expect("every request under chaos must still answer 200");
         assert_eq!(resp.status, 200);
-        for rule in fds_of(&resp.body) {
-            assert!(
-                scratch.contains(&rule),
-                "unsound rule `{rule}` under chaos (not in {scratch:?})"
-            );
-        }
+        assert_eq!(resp.body.bool_field("partial"), Some(false));
+        assert_eq!(
+            resp.body.str_field("report"),
+            Some(want.as_str()),
+            "answer under chaos diverges from the in-process profile"
+        );
         answers += 1;
         std::thread::sleep(Duration::from_millis(100));
     }
@@ -1509,25 +1530,12 @@ fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
         "the chaos loop barely ran ({answers} answers)"
     );
 
-    // Once the schedule is spent the fleet heals completely: all
-    // workers back, and a whole (non-degraded) answer with the planted
-    // dependency present.
+    // Once the schedule is spent the whole fleet is back, answering the
+    // same profile.
     wait_workers_up(&cfg, 3);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-            .expect("post-chaos discover");
-        if resp.body.bool_field("partial") == Some(false) {
-            assert!(fds_of(&resp.body).contains(&"a -> b".to_owned()));
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "fleet never fully healed after chaos: {}",
-            resp.body.render()
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
+        .expect("post-chaos discover");
+    assert_eq!(resp.body.str_field("report"), Some(want.as_str()));
 
     handle.drain_and_join();
     let _ = std::fs::remove_file(&csv);
@@ -1541,7 +1549,6 @@ fn rolling_restart_cycles_every_worker_once_with_zero_dropped_requests() {
         name: "planted".to_owned(),
         path: csv.display().to_string(),
         types: None,
-        shard: true,
     };
     let config = GatewayConfig {
         child_grace: Duration::from_secs(3),
@@ -1551,14 +1558,16 @@ fn rolling_restart_cycles_every_worker_once_with_zero_dropped_requests() {
     let cfg = gw_client(&handle);
     wait_workers_up(&cfg, 3);
 
-    // The gateway front must not expose the workers' dataset admin —
-    // that surface belongs to the replane loop alone.
+    // The gateway front refuses dataset admin: placement is fixed by
+    // its flags.
     let blocked = forward(&cfg, "POST", "/admin/datasets", Some(b"{}")).expect("blocked admin");
     assert_eq!(blocked.status, 400, "dataset admin must be refused");
 
     // A continuous query loop across the whole restart: every answer
-    // must be a whole 200 — the drain sequencing (pre-home, one slot at
-    // a time, readyz-gated) leaves no window to drop or degrade.
+    // must be a whole 200 equal to the in-process profile — one slot at
+    // a time, readyz-gated, with proxy failover covering the drained
+    // slot, leaves no window to drop or degrade.
+    let want = profile_report(&full);
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let loop_stop = std::sync::Arc::clone(&stop);
     let loop_addr = handle.addr().to_string();
@@ -1577,7 +1586,10 @@ fn rolling_restart_cycles_every_worker_once_with_zero_dropped_requests() {
             match deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)) {
                 Ok(resp) => {
                     total += 1;
-                    if resp.status != 200 || resp.body.bool_field("partial") != Some(false) {
+                    if resp.status != 200
+                        || resp.body.bool_field("partial") != Some(false)
+                        || resp.body.str_field("report") != Some(want.as_str())
+                    {
                         degraded += 1;
                     }
                 }
@@ -1640,7 +1652,7 @@ fn rolling_restart_cycles_every_worker_once_with_zero_dropped_requests() {
     );
     assert_eq!(
         degraded, 0,
-        "rolling restart must never degrade an answer ({degraded}/{total})"
+        "rolling restart must never degrade or change an answer ({degraded}/{total})"
     );
     assert!(total > 0, "the query loop never ran");
     assert!(
