@@ -54,4 +54,6 @@ pub use categorical::{
 pub use heterogeneous::{
     Cd, Cdd, Cmd, Condition, Dd, DiffAtom, Ffd, Md, Mfd, Ned, NedAtom, Pac, SimFn,
 };
-pub use numerical::{Csd, CsdRow, Dc, Direction, Interval, Od, Ofd, Operand, Predicate, Sd};
+pub use numerical::{
+    Csd, CsdRow, Dc, Direction, Interval, Od, Ofd, Operand, Predicate, Sd, SingleAtomVerdicts,
+};

@@ -8,6 +8,6 @@ mod sd;
 
 pub use dc::{Dc, Operand, Predicate};
 pub use interval::Interval;
-pub use od::{Direction, Od};
+pub use od::{Direction, Od, SingleAtomVerdicts};
 pub use ofd::Ofd;
 pub use sd::{Csd, CsdRow, Sd};

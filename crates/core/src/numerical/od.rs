@@ -32,6 +32,28 @@ impl Direction {
     }
 }
 
+/// The verdicts of `A^≤ → B^≤` and `A^≤ → B^≥` on one relation, decided
+/// together by [`Od::single_atom_verdicts`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SingleAtomVerdicts {
+    /// `A^≤ → B^≤` holds.
+    pub asc: bool,
+    /// `A^≤ → B^≥` holds.
+    pub desc: bool,
+}
+
+impl SingleAtomVerdicts {
+    /// Does `A^da → B^db` hold? An LHS marked `≥` is the `≤` case with
+    /// the RHS direction flipped.
+    pub fn holds(self, da: Direction, db: Direction) -> bool {
+        if da == db {
+            self.asc
+        } else {
+            self.desc
+        }
+    }
+}
+
 /// An order dependency over marked attributes: `X → Y` where each
 /// attribute carries a direction mark. For any tuple pair, `t1 ≼ t2` on
 /// all marked `X` attributes implies `t1 ≼ t2` on all marked `Y`
@@ -100,69 +122,71 @@ impl Od {
         !Self::precedes(r, t1, t2, &self.lhs) || Self::precedes(r, t1, t2, &self.rhs)
     }
 
-    /// `O(n log n)` check for the single-atom case `A^da → B^db`.
+    /// Decide `A^≤ → B^≤` and `A^≤ → B^≥` together, in one pass over
+    /// `order`: the rows ordered by `A`'s numeric rank, as
+    /// [`Relation::rows_by_num_rank`] returns them. This is the one
+    /// single-atom check; [`Dependency::holds`], the fast path of
+    /// [`Dependency::violations`] and OD discovery all run it.
     ///
-    /// Sort rows by `A` in the marked direction.  Within a run of
-    /// `A`-equal rows both pair orientations fire the premise, forcing
-    /// numeric `B`-equality; across runs `A` strictly precedes, so `B`
-    /// must be monotone in the marked direction — and since `numeric_cmp`
-    /// is a total order, checking consecutive run representatives suffices
-    /// by transitivity.  Returns `None` when either side is compound.
-    fn holds_sorted(&self, r: &Relation) -> Option<bool> {
+    /// Ranks are order-isomorphic to `numeric_cmp` (numerically equal
+    /// cells share a rank), so the pass compares integers only. Within a
+    /// run of equal `A` rank both pair orientations fire the premise, so
+    /// `B`'s rank must be constant — otherwise both directions fail.
+    /// Across runs `A` strictly precedes, so the run heads' `B` ranks must
+    /// not decrease (`≤`) or must not increase (`≥`); by transitivity,
+    /// consecutive heads suffice. The pass stops as soon as both
+    /// directions are refuted. `O(n)`.
+    pub fn single_atom_verdicts(
+        r: &Relation,
+        order: &[usize],
+        a: AttrId,
+        b: AttrId,
+    ) -> SingleAtomVerdicts {
+        let (ca, cb) = (r.col(a), r.col(b));
+        let (ia, ib) = (ca.index(), cb.index());
+        let refuted = SingleAtomVerdicts::default();
+        let mut v = SingleAtomVerdicts {
+            asc: true,
+            desc: true,
+        };
+        let mut prev: Option<(u32, u32)> = None;
+        for &row in order {
+            let ra = ia.num_rank(ca.code(row));
+            let rb = ib.num_rank(cb.code(row));
+            if let Some((pa, pb)) = prev {
+                if pa == ra {
+                    if pb != rb {
+                        return refuted;
+                    }
+                } else {
+                    v.asc &= pb <= rb;
+                    v.desc &= pb >= rb;
+                    if v == refuted {
+                        return refuted;
+                    }
+                }
+            }
+            prev = Some((ra, rb));
+        }
+        v
+    }
+
+    /// The single-atom check for `A^da → B^db`; `None` when either side
+    /// is compound.
+    fn holds_single(&self, r: &Relation) -> Option<bool> {
         let &[(a, da)] = &self.lhs[..] else {
             return None;
         };
         let &[(b, db)] = &self.rhs[..] else {
             return None;
         };
-        // Columnar walk: each column's sorted-run index maps dictionary
-        // codes to `numeric_cmp` ranks (numerically equal entries share a
-        // rank), so the whole check is integer sorting and comparison —
-        // rank (in)equality is exactly `numeric_cmp` (in)equality, and
-        // rank order is `numeric_cmp` order.
-        let ca = r.col(a);
-        let cb = r.col(b);
-        let (ia, ib) = (ca.index(), cb.index());
-        let n = r.n_rows();
-        let mut order: Vec<usize> = (0..n).collect();
-        match da {
-            Direction::Asc => order.sort_unstable_by_key(|&i| ia.num_rank(ca.code(i))),
-            Direction::Desc => {
-                order.sort_unstable_by_key(|&i| std::cmp::Reverse(ia.num_rank(ca.code(i))))
-            }
-        }
-        let mut start = 0;
-        let mut prev_rep: Option<u32> = None;
-        while start < n {
-            let head = order[start];
-            let run_a = ia.num_rank(ca.code(head));
-            let run_b = ib.num_rank(cb.code(head));
-            let mut end = start + 1;
-            while end < n && ia.num_rank(ca.code(order[end])) == run_a {
-                if ib.num_rank(cb.code(order[end])) != run_b {
-                    return Some(false);
-                }
-                end += 1;
-            }
-            if let Some(p) = prev_rep {
-                let ord = p.cmp(&run_b);
-                let ok = match db {
-                    Direction::Asc => ord != Ordering::Greater,
-                    Direction::Desc => ord != Ordering::Less,
-                };
-                if !ok {
-                    return Some(false);
-                }
-            }
-            prev_rep = Some(run_b);
-            start = end;
-        }
-        Some(true)
+        let order = r.rows_by_num_rank(a);
+        Some(Self::single_atom_verdicts(r, &order, a, b).holds(da, db))
     }
 
     /// All-pairs check: both orientations of every row pair.
     /// [`Dependency::holds`] runs it on every compound OD, which the
-    /// `O(n log n)` sorted check cannot decide.
+    /// single-atom check cannot decide.
     pub fn holds_pairwise(&self, r: &Relation) -> bool {
         r.row_pairs()
             .all(|(i, j)| self.pair_ok(r, i, j) && self.pair_ok(r, j, i))
@@ -175,16 +199,16 @@ impl Dependency for Od {
     }
 
     fn holds(&self, r: &Relation) -> bool {
-        match self.holds_sorted(r) {
+        match self.holds_single(r) {
             Some(ans) => ans,
             None => self.holds_pairwise(r),
         }
     }
 
     fn violations(&self, r: &Relation) -> Vec<Violation> {
-        // On clean single-atom data the sorted check settles it in
-        // O(n log n); the pair scan only runs when violations exist.
-        if self.holds_sorted(r) == Some(true) {
+        // On clean single-atom data the single-atom check settles it in
+        // O(n + |dict|); the pair scan only runs when violations exist.
+        if self.holds_single(r) == Some(true) {
             return Vec::new();
         }
         let rhs_attrs: AttrSet = self.rhs.iter().map(|(a, _)| *a).collect();

@@ -122,6 +122,7 @@ pub fn discover_bounded(r: &Relation, cfg: &CordsConfig, exec: &Exec) -> Outcome
     let mut sfds = Vec::new();
     let mut correlations = Vec::new();
     'search: for a in sample.schema().ids() {
+        let dom_a = sample.distinct_count(AttrSet::single(a));
         for b in sample.schema().ids() {
             if a == b {
                 continue;
@@ -130,7 +131,6 @@ pub fn discover_bounded(r: &Relation, cfg: &CordsConfig, exec: &Exec) -> Outcome
                 break 'search;
             }
             // Strength on the sample (§2.1.1).
-            let dom_a = sample.distinct_count(AttrSet::single(a));
             let dom_ab = sample.distinct_count(AttrSet::from_ids([a, b]));
             let strength = if dom_ab == 0 {
                 1.0
@@ -141,9 +141,10 @@ pub fn discover_bounded(r: &Relation, cfg: &CordsConfig, exec: &Exec) -> Outcome
                 let fd = Fd::new(r.schema(), AttrSet::single(a), AttrSet::single(b));
                 sfds.push(Sfd::new(fd, cfg.min_strength));
             }
-            if a < b {
+            // A threshold of 0 disables the filter: no table is built.
+            if a < b && cfg.chi2_threshold > 0.0 {
                 let chi2 = chi_square(&sample, &local_rows, a, b, cfg.max_categories);
-                if chi2 > cfg.chi2_threshold && cfg.chi2_threshold > 0.0 {
+                if chi2 > cfg.chi2_threshold {
                     correlations.push(Correlation { a, b, chi2 });
                 }
             }

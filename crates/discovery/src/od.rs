@@ -1,10 +1,16 @@
-//! Order-dependency discovery (§4.2.3): a FASTOD-flavoured search that
-//! validates candidate ODs on sorted partitions in `O(n log n)` per
-//! candidate, over the direction combinations of marked attributes.
+//! Order-dependency discovery (§4.2.3): a list-based search over marked
+//! attributes, on every column pair.
+//!
+//! Single-atom candidates `A^≤ → B^d` are decided by the one single-atom
+//! check, [`Od::single_atom_verdicts`]: the rows are counting-sorted by
+//! `A`'s numeric rank once per LHS attribute, and one linear pass per RHS
+//! attribute decides both directions. With `max_lhs ≥ 2`, pointwise
+//! two-atom compounds `A1^≤, A2^≤ → B^d` whose single-atom premises both
+//! fail are checked pair by pair.
 
 use deptree_core::engine::{Exec, Outcome};
-use deptree_core::{Dependency, Direction, Od};
-use deptree_relation::{AttrId, AttrSet, Relation, Value};
+use deptree_core::{Dependency, Direction, Od, SingleAtomVerdicts};
+use deptree_relation::{AttrId, Relation};
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -17,43 +23,6 @@ impl Default for OdConfig {
     fn default() -> Self {
         OdConfig { max_lhs: 1 }
     }
-}
-
-/// Validate the single-attribute OD `A^da → B^db` in `O(n log n)`:
-/// sort rows by `A`; within each equal-`A` run `B` must be constant, and
-/// the per-run `B` values must be monotone in the marked direction.
-pub fn validate_single(r: &Relation, a: AttrId, da: Direction, b: AttrId, db: Direction) -> bool {
-    let order = r.sorted_rows(AttrSet::single(a));
-    let mut prev_run_b: Option<&Value> = None;
-    let mut i = 0usize;
-    while i < order.len() {
-        // Delimit the equal-A run.
-        let mut j = i + 1;
-        while j < order.len() && r.value(order[j], a) == r.value(order[i], a) {
-            j += 1;
-        }
-        let run_b = r.value(order[i], b);
-        // Ties on A force equality on B (both directions apply).
-        if order[i..j].iter().any(|&t| r.value(t, b) != run_b) {
-            return false;
-        }
-        if let Some(pb) = prev_run_b {
-            // prev run has smaller A under Asc; check B direction.
-            let ord = pb.numeric_cmp(run_b);
-            let ok = match (da, db) {
-                (Direction::Asc, Direction::Asc) | (Direction::Desc, Direction::Desc) => {
-                    ord != std::cmp::Ordering::Greater
-                }
-                _ => ord != std::cmp::Ordering::Less,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        prev_run_b = Some(run_b);
-        i = j;
-    }
-    true
 }
 
 /// Cheap deterministic prefilter for compound candidates: scan all pairs
@@ -76,20 +45,29 @@ fn sample_refutes(r: &Relation, od: &Od) -> bool {
     false
 }
 
-/// Discover all valid single-attribute ODs over numeric-typed attribute
-/// pairs, canonicalized so the LHS mark is always ascending
-/// (`A^≥ → B^d` equals `A^≤ → B^d̄`).
+/// Discover all valid ODs over every column pair (numeric or not, under
+/// `numeric_cmp`), canonicalized so the LHS marks are always ascending
+/// (`A^≥ → B^d` equals `A^≤ → B^d̄`). Single-atom ODs come first, in
+/// (A, B, direction) order; then, with `max_lhs ≥ 2`, the minimal
+/// two-atom compounds.
 pub fn discover(r: &Relation, cfg: &OdConfig) -> Vec<Od> {
     discover_bounded(r, cfg, &Exec::unbounded()).result
 }
 
 /// Budgeted [`discover`]: each candidate OD costs one node tick plus one
-/// row tick per row validated. ODs are emitted only after validation, so
-/// partial results are sound; unvisited candidates are forfeit.
+/// row tick per row validated, taken before the candidate can be
+/// emitted. ODs are emitted only after validation, so partial results
+/// are sound; unvisited candidates are forfeit.
 pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Vec<Od>> {
     let mut out = Vec::new();
     let attrs: Vec<AttrId> = r.schema().ids().collect();
+    let k = attrs.len();
+    // verdicts[a·k + b]: both directions of `a^≤ → b`. The single-atom
+    // loop fills every entry unless a budget stops it, and exhaustion is
+    // sticky, so the compound loop only reads filled entries.
+    let mut verdicts = vec![SingleAtomVerdicts::default(); k * k];
     'single: for &a in &attrs {
+        let mut order = None;
         for &b in &attrs {
             if a == b {
                 continue;
@@ -98,7 +76,11 @@ pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Ve
                 if !exec.tick_node() || !exec.tick_rows(r.n_rows() as u64) {
                     break 'single;
                 }
-                if validate_single(r, a, Direction::Asc, b, db) {
+                if db == Direction::Asc {
+                    let order = order.get_or_insert_with(|| r.rows_by_num_rank(a));
+                    verdicts[a.0 * k + b.0] = Od::single_atom_verdicts(r, order, a, b);
+                }
+                if verdicts[a.0 * k + b.0].holds(Direction::Asc, db) {
                     out.push(Od::new(
                         r.schema(),
                         vec![(a, Direction::Asc)],
@@ -108,7 +90,7 @@ pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Ve
             }
         }
     }
-    // Compound LHS (lexicographic-style pointwise lists) when requested.
+    // Compound LHS (pointwise two-atom lists) when requested.
     if cfg.max_lhs >= 2 {
         'compound: for &a1 in &attrs {
             for &a2 in &attrs {
@@ -125,8 +107,8 @@ pub fn discover_bounded(r: &Relation, cfg: &OdConfig, exec: &Exec) -> Outcome<Ve
                         }
                         // Only report if neither single-attribute premise
                         // already suffices (minimality).
-                        if validate_single(r, a1, Direction::Asc, b, db)
-                            || validate_single(r, a2, Direction::Asc, b, db)
+                        if verdicts[a1.0 * k + b.0].holds(Direction::Asc, db)
+                            || verdicts[a2.0 * k + b.0].holds(Direction::Asc, db)
                         {
                             continue;
                         }
@@ -153,25 +135,22 @@ mod tests {
     use deptree_relation::{RelationBuilder, ValueType};
 
     #[test]
-    fn validator_agrees_with_pairwise_semantics() {
+    fn discovery_agrees_with_pairwise_semantics() {
+        // Every single-atom OD the pair scan accepts, in discovery's order.
         let r = hotels_r7();
         let s = r.schema();
-        let attrs: Vec<AttrId> = s.ids().collect();
-        for &a in &attrs {
-            for &b in &attrs {
-                if a == b {
-                    continue;
-                }
+        let mut want = Vec::new();
+        for a in s.ids() {
+            for b in s.ids().filter(|&b| b != a) {
                 for db in [Direction::Asc, Direction::Desc] {
                     let od = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                    assert_eq!(
-                        validate_single(&r, a, Direction::Asc, b, db),
-                        od.holds(&r),
-                        "{od}"
-                    );
+                    if od.holds_pairwise(&r) {
+                        want.push(od);
+                    }
                 }
             }
         }
+        assert_eq!(discover(&r, &OdConfig::default()), want);
     }
 
     #[test]
@@ -204,13 +183,13 @@ mod tests {
             .build()
             .unwrap();
         let s = r.schema();
-        assert!(!validate_single(
-            &r,
-            s.id("a"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
-        ));
+        let found = discover(&r, &OdConfig::default());
+        assert!(
+            !found
+                .iter()
+                .any(|od| od.lhs() == [(s.id("a"), Direction::Asc)]),
+            "{found:?}"
+        );
     }
 
     #[test]
@@ -228,20 +207,14 @@ mod tests {
             .build()
             .unwrap();
         let s = r.schema();
-        assert!(!validate_single(
-            &r,
-            s.id("a1"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
-        ));
-        assert!(!validate_single(
-            &r,
-            s.id("a2"),
-            Direction::Asc,
-            s.id("b"),
-            Direction::Asc
-        ));
+        for a in ["a1", "a2"] {
+            let single = Od::new(
+                s,
+                vec![(s.id(a), Direction::Asc)],
+                vec![(s.id("b"), Direction::Asc)],
+            );
+            assert!(!single.holds_pairwise(&r), "{single}");
+        }
         let found = discover(&r, &OdConfig { max_lhs: 2 });
         let compound = found
             .iter()

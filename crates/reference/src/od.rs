@@ -4,8 +4,9 @@ use deptree_core::Direction;
 use deptree_relation::Value;
 use std::cmp::Ordering;
 
-/// Reference for the `O(n log n)` check `Od::holds` runs on a single-atom
-/// OD `A^da → B^db`, over the two `Value` columns.
+/// Reference for the single-atom check `Od::holds` runs on an OD
+/// `A^da → B^db` (`Od::single_atom_verdicts` over rows counting-sorted by
+/// numeric rank), here a comparison sort over the two `Value` columns.
 ///
 /// Rows are sorted by `A` in the marked direction under `numeric_cmp`.
 /// Within a run of `A`-equal rows both pair orientations fire the premise,

@@ -239,20 +239,22 @@ impl PartitionCache {
                 };
                 let (left, d1) = self.get_or_compute(r, attrs.remove(split));
                 delta = delta.merge(d1);
-                let radix =
-                    SCRATCH.with(|s| left.product_with_column(r.col(split), &mut s.borrow_mut()));
-                match radix {
-                    Some(p) => {
-                        self.radix_products.fetch_add(1, Ordering::Relaxed);
-                        p
-                    }
-                    None => {
+                // `π_split` comes from the cache too; a single-attribute
+                // miss is `from_column`, which never touches `SCRATCH`.
+                let (p, radix) = SCRATCH.with(|s| {
+                    left.product_with_attr(r.col(split), &mut s.borrow_mut(), || {
                         let (right, d2) = self.get_or_compute(r, AttrSet::single(split));
                         delta = delta.merge(d2);
-                        self.hash_products.fetch_add(1, Ordering::Relaxed);
-                        SCRATCH.with(|s| left.product_with(&right, &mut s.borrow_mut()))
-                    }
-                }
+                        right
+                    })
+                });
+                let counter = if radix {
+                    &self.radix_products
+                } else {
+                    &self.hash_products
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
+                p
             }
         };
         let (arc, d) = self.insert(attrs, computed);

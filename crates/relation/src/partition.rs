@@ -10,6 +10,7 @@
 
 use crate::attrset::AttrSet;
 use crate::relation::Relation;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A stripped partition of the rows of a relation.
@@ -45,15 +46,26 @@ impl StrippedPartition {
         Self::from_groups(buckets, rel.n_rows())
     }
 
-    /// Partition by an attribute set (grouping directly, without products).
+    /// Partition by an attribute set.
+    ///
+    /// One counting sort over the combined dictionary code when the
+    /// dictionaries' product is narrow enough; otherwise the column
+    /// product chain `π_{a₀} · π_{a₁} · …` in increasing attribute order,
+    /// the same products [`crate::PartitionCache`] runs, on scratch freed
+    /// when the call returns.
     pub fn from_attrs(rel: &Relation, attrs: AttrSet) -> Self {
-        if attrs.is_empty() {
+        let mut ids = attrs.iter();
+        let Some(first) = ids.next() else {
             return Self::identity(rel.n_rows());
-        }
+        };
         if let Some(p) = Self::from_codes_radix(rel, attrs) {
             return p;
         }
-        Self::from_groups(rel.group_by(attrs).into_values(), rel.n_rows())
+        let mut scratch = ProductScratch::new();
+        ids.fold(Self::from_column(rel, first), |left, a| {
+            left.product_with_attr(rel.col(a), &mut scratch, || Self::from_column(rel, a))
+                .0
+        })
     }
 
     /// Counting-sort grouping over the combined dictionary code.
@@ -63,7 +75,7 @@ impl StrippedPartition {
     /// Horner's rule) into one `u32` key and grouping becomes two linear
     /// counting passes over two flat arrays — no tuple hashing, no
     /// per-group allocation beyond the exact class sizes. Returns `None`
-    /// when the combined domain is too wide (the hash fallback in
+    /// when the combined domain is too wide (the product chain in
     /// [`StrippedPartition::from_attrs`] then takes over).
     ///
     /// Byte-identity: classes are created in first-covered-row order and
@@ -259,6 +271,24 @@ impl StrippedPartition {
             scratch.probe[row] = NO_LABEL;
         }
         Self::from_groups(out, self.n_rows)
+    }
+
+    /// `π_self · π_a` by the first kernel that takes it: the radix product
+    /// on `a`'s code vector ([`StrippedPartition::product_with_column`]),
+    /// or — when `a`'s dictionary is too wide for that — the probe-table
+    /// product ([`StrippedPartition::product_with`]) against `π_a`, which
+    /// `single` supplies only then. The flag is true when the radix kernel
+    /// ran. Both kernels give byte-identical partitions.
+    pub(crate) fn product_with_attr<P: Borrow<StrippedPartition>>(
+        &self,
+        col: &crate::Column,
+        scratch: &mut ProductScratch,
+        single: impl FnOnce() -> P,
+    ) -> (StrippedPartition, bool) {
+        match self.product_with_column(col, scratch) {
+            Some(p) => (p, true),
+            None => (self.product_with(single().borrow(), scratch), false),
+        }
     }
 
     /// Radix partition product against one attribute's column:

@@ -2,6 +2,7 @@
 
 use crate::attrset::AttrSet;
 use crate::column::Column;
+use crate::partition::StrippedPartition;
 use crate::schema::{AttrId, Schema, ValueType};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -223,20 +224,6 @@ impl Relation {
             .all(|a| self.cols[a.0].code(r1) == self.cols[a.0].code(r2))
     }
 
-    /// Group rows by their code tuples on `attrs` — the integer-keyed core
-    /// of [`Relation::group_by`]. Row lists are ascending (rows are
-    /// visited in order). Key tuples follow `attrs` in increasing
-    /// attribute order.
-    fn group_rows_by_codes(&self, attrs: AttrSet) -> HashMap<Vec<u32>, Vec<usize>> {
-        let cols: Vec<&Column> = attrs.iter().map(|a| &self.cols[a.0]).collect();
-        let mut groups: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for row in 0..self.n_rows {
-            let key: Vec<u32> = cols.iter().map(|c| c.code(row)).collect();
-            groups.entry(key).or_default().push(row);
-        }
-        groups
-    }
-
     /// Group rows by their values on `attrs`.
     ///
     /// Returns a map from projected key to the (sorted) row indices holding
@@ -247,7 +234,12 @@ impl Relation {
     /// distinct group, not once per row.
     pub fn group_by(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
         let cols: Vec<&Column> = attrs.iter().map(|a| &self.cols[a.0]).collect();
-        self.group_rows_by_codes(attrs)
+        let mut groups: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
+        for row in 0..self.n_rows {
+            let key: Vec<u32> = cols.iter().map(|c| c.code(row)).collect();
+            groups.entry(key).or_default().push(row);
+        }
+        groups
             .into_iter()
             .map(|(key, rows)| {
                 let vals: Vec<Value> = key
@@ -261,16 +253,14 @@ impl Relation {
     }
 
     /// Number of distinct value combinations on `attrs`
-    /// (`|dom(X)|_r` in the survey's SFD strength measure).
+    /// (`|dom(X)|_r` in the survey's SFD strength measure): the class
+    /// count `n − Σ(|c| − 1)` of the stripped partition `π_X`.
     pub fn distinct_count(&self, attrs: AttrSet) -> usize {
-        if attrs.is_empty() {
-            return usize::from(self.n_rows > 0);
-        }
-        self.group_rows_by_codes(attrs).len()
+        StrippedPartition::from_attrs(self, attrs).num_classes()
     }
 
     /// Row indices sorted by the values of `attrs` (lexicographically, in
-    /// increasing attribute order). Used by order-dependency validation.
+    /// increasing attribute order).
     ///
     /// The sort is stable (ties keep row order) and compares per-column
     /// structural *ranks* from the sorted-run index — rank order is value
@@ -290,6 +280,34 @@ impl Relation {
             }
             std::cmp::Ordering::Equal
         });
+        rows
+    }
+
+    /// Row indices ordered by `attr`'s numeric rank
+    /// ([`crate::ColumnIndex::num_rank`]), ties in row order — the order
+    /// order-dependency checks walk, where numerically equal cells such as
+    /// `2` and `2.0` tie.
+    ///
+    /// Ranks are dense below the dictionary length, so this is a stable
+    /// counting sort in `O(n + |dict|)`, with no comparator.
+    pub fn rows_by_num_rank(&self, attr: AttrId) -> Vec<usize> {
+        let col = &self.cols[attr.0];
+        let ix = col.index();
+        let mut next = vec![0usize; col.dict().len() + 1];
+        for &code in col.codes() {
+            next[ix.num_rank(code) as usize + 1] += 1;
+        }
+        let mut start = 0;
+        for slot in &mut next {
+            start += *slot;
+            *slot = start;
+        }
+        let mut rows = vec![0usize; self.n_rows];
+        for (row, &code) in col.codes().iter().enumerate() {
+            let slot = &mut next[ix.num_rank(code) as usize];
+            rows[*slot] = row;
+            *slot += 1;
+        }
         rows
     }
 
@@ -508,6 +526,18 @@ mod tests {
         let c = r.schema().id("c");
         let sorted = r.sorted_rows(AttrSet::single(c));
         assert_eq!(sorted, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn rows_by_num_rank_ties_numerically_equal_cells_in_row_order() {
+        let mut r = Relation::empty(Schema::from_attrs([("n", ValueType::Numeric)])).unwrap();
+        for cell in ["2.0", "1", "2", "", "1.0", "-0.0", "0", "NaN"] {
+            r.push_row_texts(&[cell]).unwrap();
+        }
+        let n = r.schema().id("n");
+        // Null first; -0.0 below 0 (total order); 1 ties 1.0 and 2.0 ties
+        // 2, each pair in row order; NaN last.
+        assert_eq!(r.rows_by_num_rank(n), vec![3, 5, 6, 1, 4, 0, 2, 7]);
     }
 
     #[test]

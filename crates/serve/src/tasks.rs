@@ -122,9 +122,13 @@ pub fn profile(r: &Relation, opts: &ProfileOpts, exec: &Exec) -> TaskReport {
         c.sampled_rows,
         c.sfds.len()
     );
-    for sfd in c.sfds.iter().take(10) {
+    let mut span = exec.span("profile.sfd_strength");
+    let shown = c.sfds.iter().take(10);
+    span.attr("sfds", shown.len() as u64);
+    for sfd in shown {
         line!(buf, "  {sfd} (strength {:.2})", sfd.strength(r));
     }
+    drop(span);
 
     let numeric = r
         .schema()

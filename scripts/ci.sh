@@ -17,30 +17,32 @@
 #      suite once more back-to-back, so a test that only passes on a
 #      fresh process (ordering or leftover-state luck) is caught here
 #      and not on a busy CI box;
-#   4. pairwise_scaling --smoke (a `deptree-reference` bin) — tiny-size
+#   4. examples — every program under `examples/` runs in release and
+#      must exit 0 (two of them run OD discovery on the paper's r7);
+#   5. pairwise_scaling --smoke (a `deptree-reference` bin) — tiny-size
 #      run of the blocking/index benchmark that asserts indexed candidate
 #      generation reproduces the reference pair scans exactly (MD
 #      discovery, DC evidence, dedup);
-#   5. columnar_scaling --smoke (a `deptree-reference` bin) + the
+#   6. columnar_scaling --smoke (a `deptree-reference` bin) + the
 #      columnar_equivalence suite at DEPTREE_THREADS=1 and =8 — every
 #      code-native kernel must equal its row-major reference in
 #      `deptree-reference` on every attribute subset, every task must be
 #      byte-identical across thread counts, and the interning CSV parse
 #      must allocate less than a row-materializing one;
-#   6. the end-to-end benchmark's own tests and its `run --smoke` — tiny
+#   7. the end-to-end benchmark's own tests and its `run --smoke` — tiny
 #      inputs through the real CLI and `deptree serve`, every output
 #      checked (CLI ≡ library ≡ served bytes on generated tables);
-#   7. serve_loadgen --smoke — boot the three-phase keep-alive benchmark
+#   8. serve_loadgen --smoke — boot the three-phase keep-alive benchmark
 #      at a reduced size and require that connection reuse beats
 #      close-per-request, the response cache actually hits, and a cached
 #      replay is byte-identical to the reply that populated it;
-#   8. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
+#   9. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
 #      `deptree query` calls (the discover reply must be byte-identical to
 #      the pre-columnar recorded snapshot), scrape /metrics and require
 #      every load-bearing series (including the response-cache counters),
 #      SIGTERM it, and require a graceful
 #      exit 0;
-#   9. gateway smoke — boot `deptree gateway` with two workers holding
+#  10. gateway smoke — boot `deptree gateway` with two workers holding
 #      `hotels` whole, require its discover reply to be byte-identical
 #      to the same recorded snapshot, `kill -9` the home worker of
 #      `hotels` and require the very next discover to fail over to the
@@ -48,7 +50,7 @@
 #      require the supervision and proxy series in the aggregated
 #      /metrics, then the respawn, then SIGTERM-drain the whole fleet to
 #      exit 0;
-#  10. rolling-restart smoke — boot a three-worker gateway, keep a
+#  11. rolling-restart smoke — boot a three-worker gateway, keep a
 #      continuous `deptree query` loop running, trigger
 #      `deptree query reload`, and require zero dropped requests while
 #      every worker restarts exactly once.
@@ -78,6 +80,11 @@ DEPTREE_THREADS=8 cargo test -q
 
 echo "== tier-1: tests (repeat run, flake gate) =="
 DEPTREE_THREADS=1 cargo test -q
+
+echo "== examples (each runs to exit 0) =="
+for example in examples/*.rs; do
+    cargo run --release --quiet --example "$(basename "$example" .rs)" >/dev/null
+done
 
 echo "== pairwise_scaling smoke (indexed ≡ reference pair scans) =="
 cargo run --release --quiet -p deptree-reference --bin pairwise_scaling -- --smoke

@@ -519,9 +519,75 @@ fn ned_discovery_deterministic_across_threads() {
     }
 }
 
+/// CSV cells that tie or split under `numeric_cmp` but not structurally:
+/// `2` and `2.0` tie, `-0.0` sorts below `0`, `NaN` above every number,
+/// and the empty cell is null, below every number.
+const OD_CELLS: [&str; 7] = ["0", "-0.0", "2", "2.0", "3", "NaN", ""];
+
+/// A relation of numeric columns built from cell texts through
+/// `push_row_texts`, the CSV parser's path.
+fn numeric_texts(columns: &[&[&str]]) -> Relation {
+    let schema = deptree::relation::Schema::from_attrs(
+        (0..columns.len()).map(|i| (format!("n{i}"), ValueType::Numeric)),
+    );
+    let mut r = Relation::empty(schema).expect("at most 64 attributes");
+    for row in 0..columns[0].len() {
+        let cells: Vec<&str> = columns.iter().map(|c| c[row]).collect();
+        r.push_row_texts(&cells).expect("consistent arity");
+    }
+    r
+}
+
+/// Every OD in discovery's candidate space (ascending LHS marks; one
+/// atom, or two with `max_lhs ≥ 2`) that the pair scan accepts, in
+/// discovery's order. A two-atom OD counts only when neither of its
+/// single-atom premises holds.
+fn ods_by_enumeration(r: &Relation, max_lhs: usize) -> Vec<Od> {
+    let s = r.schema();
+    let attrs: Vec<_> = s.ids().collect();
+    let dirs = [Direction::Asc, Direction::Desc];
+    let holds = |lhs: &[deptree::relation::AttrId], b, db| {
+        let lhs = lhs.iter().map(|&a| (a, Direction::Asc)).collect();
+        let o = Od::new(s, lhs, vec![(b, db)]);
+        o.holds_pairwise(r).then_some(o)
+    };
+    let mut want = Vec::new();
+    for &a in &attrs {
+        for &b in attrs.iter().filter(|&&b| b != a) {
+            want.extend(dirs.iter().filter_map(|&db| holds(&[a], b, db)));
+        }
+    }
+    if max_lhs >= 2 {
+        for &a1 in &attrs {
+            for &a2 in attrs.iter().filter(|&&a2| a1 < a2) {
+                for &b in attrs.iter().filter(|&&b| b != a1 && b != a2) {
+                    for db in dirs {
+                        if holds(&[a1], b, db).is_none() && holds(&[a2], b, db).is_none() {
+                            want.extend(holds(&[a1, a2], b, db));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    want
+}
+
 #[test]
 fn od_sorted_validation_matches_naive_pair_scan() {
-    let mut cases = vec![("r7".to_string(), hotels_r7())];
+    let mut cases = vec![
+        ("r7".to_string(), hotels_r7()),
+        // `a^≤ → b^≤` fails: 2 and 2.0 tie on a, so b must tie too.
+        (
+            "probe a=[2, 2.0, 3]".to_string(),
+            numeric_texts(&[&["2", "2.0", "3"], &["10", "20", "30"]]),
+        ),
+        // `a^≤ → b^≤` holds: b's 10 and 10.0 tie on a's tie.
+        (
+            "probe b=[10, 10.0, 20]".to_string(),
+            numeric_texts(&[&["1", "1", "2"], &["10", "10.0", "20"]]),
+        ),
+    ];
     let mut rng = deptree::synth::rng(0x0D0D);
     for case in 0..24 {
         cases.push((
@@ -529,19 +595,42 @@ fn od_sorted_validation_matches_naive_pair_scan() {
             common::numeric_relation(&mut rng),
         ));
     }
+    for case in 0..300 {
+        let n_rows = rng.random_range(1..=8usize);
+        let columns: Vec<Vec<&str>> = (0..rng.random_range(2..=3usize))
+            .map(|_| {
+                (0..n_rows)
+                    .map(|_| OD_CELLS[rng.random_range(0..OD_CELLS.len())])
+                    .collect()
+            })
+            .collect();
+        let columns: Vec<&[&str]> = columns.iter().map(Vec::as_slice).collect();
+        cases.push((
+            format!("mixed-cell case {case} {columns:?}"),
+            numeric_texts(&columns),
+        ));
+    }
     for (label, r) in &cases {
         let s = r.schema();
-        let attrs: Vec<_> = s.ids().collect();
-        for &a in &attrs {
-            for &b in &attrs {
-                if a == b {
-                    continue;
-                }
-                for db in [Direction::Asc, Direction::Desc] {
-                    let o = Od::new(s, vec![(a, Direction::Asc)], vec![(b, db)]);
-                    assert_eq!(o.holds(r), o.holds_pairwise(r), "{label}: {o}");
+        for a in s.ids() {
+            for b in s.ids() {
+                for da in [Direction::Asc, Direction::Desc] {
+                    for db in [Direction::Asc, Direction::Desc] {
+                        let o = Od::new(s, vec![(a, da)], vec![(b, db)]);
+                        assert_eq!(o.holds(r), o.holds_pairwise(r), "{label}: {o}");
+                        let none_violate = o.violations(r).is_empty();
+                        assert_eq!(none_violate, o.holds_pairwise(r), "{label}: {o}");
+                    }
                 }
             }
+        }
+        // Discovery is sound and complete within its bounds, in order.
+        for max_lhs in [1, 2] {
+            assert_eq!(
+                od::discover(r, &od::OdConfig { max_lhs }),
+                ods_by_enumeration(r, max_lhs),
+                "{label}: max LHS {max_lhs}"
+            );
         }
     }
     // Discovery (incl. compound LHS with its sampling prefilter) emits only

@@ -268,24 +268,25 @@ mod numeric {
         }
     }
 
-    /// The single-attribute OD validator agrees with pairwise holds.
+    /// The single-atom OD check (counting-sorted ranks, one pass for both
+    /// RHS directions) agrees with the pair scan.
     #[test]
     fn od_validator_correct() {
-        use deptree::discovery::od::validate_single;
         for (mut rng, case) in cases(12) {
             let r = numeric_relation(&mut rng);
             let s = r.schema();
-            let dir = if rng.random_range(0..2u8) == 0 {
-                Direction::Asc
-            } else {
-                Direction::Desc
-            };
-            let od = Od::new(s, vec![(AttrId(0), Direction::Asc)], vec![(AttrId(1), dir)]);
-            assert_eq!(
-                validate_single(&r, AttrId(0), Direction::Asc, AttrId(1), dir),
-                od.holds(&r),
-                "case {case}"
-            );
+            let order = r.rows_by_num_rank(AttrId(0));
+            let verdicts = Od::single_atom_verdicts(&r, &order, AttrId(0), AttrId(1));
+            for da in [Direction::Asc, Direction::Desc] {
+                for db in [Direction::Asc, Direction::Desc] {
+                    let od = Od::new(s, vec![(AttrId(0), da)], vec![(AttrId(1), db)]);
+                    assert_eq!(
+                        verdicts.holds(da, db),
+                        od.holds_pairwise(&r),
+                        "case {case}: {od}"
+                    );
+                }
+            }
         }
     }
 
