@@ -109,32 +109,18 @@ impl Dependency for Fd {
         px.refines(&pxy)
     }
 
+    /// One witness per pair of `Y`-sub-groups within an `X`-value, from
+    /// each sub-group's first row: every class of `π_X` is split by
+    /// `π_{X∪Y}`, in canonical order.
     fn violations(&self, r: &Relation) -> Vec<Violation> {
+        let px = StrippedPartition::from_attrs(r, self.lhs);
+        let mut by_xy = StrippedPartition::from_attrs(r, self.lhs.union(self.rhs)).splitter();
         let mut out = Vec::new();
-        for rows in r.group_by(self.lhs).values() {
-            if rows.len() < 2 {
-                continue;
-            }
-            // Split the X-group by Y-values: rows in different Y-subgroups
-            // violate pairwise; report one witness per subgroup pair using
-            // the smallest row of each subgroup.
-            let sub = r.select_rows(rows);
-            // `select_rows` keeps attribute names, so every lookup hits;
-            // filter_map is defensive rather than a reachable skip.
-            let sub_schema_rhs: AttrSet = self
-                .rhs
-                .iter()
-                .filter_map(|a| sub.schema().attr_id(r.schema().name(a)))
-                .collect();
-            let mut reps: Vec<usize> = sub
-                .group_by(sub_schema_rhs)
-                .values()
-                .filter_map(|g| g.iter().min().map(|m| rows[*m]))
-                .collect();
-            reps.sort_unstable();
-            for i in 0..reps.len() {
-                for j in (i + 1)..reps.len() {
-                    out.push(Violation::pair(reps[i], reps[j], self.rhs));
+        for class in px.classes() {
+            let subs = by_xy.split(class);
+            for (i, a) in subs.iter().enumerate() {
+                for b in &subs[i + 1..] {
+                    out.push(Violation::pair(a.first, b.first, self.rhs));
                 }
             }
         }

@@ -3,7 +3,7 @@
 
 use crate::categorical::Fd;
 use crate::dep::{DepKind, Dependency, Violation};
-use deptree_relation::{AttrSet, Relation, Schema};
+use deptree_relation::{AttrSet, Relation, Schema, StrippedPartition};
 use std::fmt;
 
 /// A numerical dependency `X →ₖ Y`: each `X`-value is associated with at
@@ -54,21 +54,19 @@ impl Nud {
     }
 
     /// The maximum number of distinct `Y`-values associated with any single
-    /// `X`-value in `r` — the smallest `k` for which this NUD holds.
+    /// `X`-value in `r` — the smallest `k` for which this NUD holds: the
+    /// most sub-groups any class of `π_X` splits into by `π_{X∪Y}`, and 1
+    /// when every `X`-value is held by a single row.
     pub fn max_fanout(&self, r: &Relation) -> usize {
-        r.group_by(self.lhs)
-            .values()
-            .map(|rows| {
-                let sub = r.select_rows(rows);
-                let rhs_local: AttrSet = self
-                    .rhs
-                    .iter()
-                    .map(|a| sub.schema().id(r.schema().name(a)))
-                    .collect();
-                sub.distinct_count(rhs_local)
-            })
-            .max()
-            .unwrap_or(0)
+        if r.n_rows() == 0 {
+            return 0;
+        }
+        let px = StrippedPartition::from_attrs(r, self.lhs);
+        let mut by_xy = StrippedPartition::from_attrs(r, self.lhs.union(self.rhs)).splitter();
+        px.classes()
+            .iter()
+            .map(|class| by_xy.split(class).len())
+            .fold(1, usize::max)
     }
 }
 
@@ -82,26 +80,17 @@ impl Dependency for Nud {
     }
 
     /// One witness per `X`-group exceeding the fan-out budget: the group's
-    /// first rows carrying `k + 1` distinct `Y`-values.
+    /// first rows carrying `k + 1` distinct `Y`-values, i.e. the first
+    /// rows of its first `k + 1` sub-groups by `π_{X∪Y}`.
     fn violations(&self, r: &Relation) -> Vec<Violation> {
+        let px = StrippedPartition::from_attrs(r, self.lhs);
+        let mut by_xy = StrippedPartition::from_attrs(r, self.lhs.union(self.rhs)).splitter();
         let mut out = Vec::new();
-        for rows in r.group_by(self.lhs).values() {
-            let sub = r.select_rows(rows);
-            let rhs_local: AttrSet = self
-                .rhs
-                .iter()
-                .map(|a| sub.schema().id(r.schema().name(a)))
-                .collect();
-            let groups = sub.group_by(rhs_local);
-            if groups.len() > self.k {
-                let mut reps: Vec<usize> = groups
-                    .values()
-                    .filter_map(|g| g.iter().min().map(|m| rows[*m]))
-                    .collect();
-                reps.sort_unstable();
-                reps.truncate(self.k + 1);
+        for class in px.classes() {
+            let subs = by_xy.split(class);
+            if subs.len() > self.k {
                 out.push(Violation {
-                    rows: reps,
+                    rows: subs[..=self.k].iter().map(|s| s.first).collect(),
                     attrs: self.rhs,
                 });
             }

@@ -2,7 +2,7 @@
 
 use crate::categorical::Fd;
 use crate::dep::{DepKind, Dependency, Violation};
-use deptree_relation::Relation;
+use deptree_relation::{Relation, StrippedPartition, SubGroup};
 use std::fmt;
 
 /// A probabilistic functional dependency `X →ₚ Y` from pay-as-you-go data
@@ -47,42 +47,44 @@ impl Pfd {
     }
 
     /// Per-value probability `P(X → Y, V_X)`: the fraction of tuples with
-    /// `X = V_X` carrying the most frequent `Y`-value (§2.2.1). Returns the
-    /// probability for the group containing `row`.
+    /// `X = V_X` carrying the most frequent `Y`-value (§2.2.1). `rows` are
+    /// the distinct rows of one `X`-group; they are split by `π_Y`.
     pub fn probability_for_group(&self, r: &Relation, rows: &[usize]) -> f64 {
         if rows.is_empty() {
             return 1.0;
         }
-        let sub = r.select_rows(rows);
-        let rhs_local: deptree_relation::AttrSet = self
-            .embedded
-            .rhs()
-            .iter()
-            .map(|a| sub.schema().id(r.schema().name(a)))
-            .collect();
-        let max = sub
-            .group_by(rhs_local)
-            .values()
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
-        max as f64 / rows.len() as f64
+        let mut by_y = StrippedPartition::from_attrs(r, self.embedded.rhs()).splitter();
+        modal_share(rows.len(), by_y.split(rows))
     }
 
     /// The probability `P(X → Y, r)`: average of per-value probabilities
     /// over all distinct `X`-values (§2.2.1). Defined as 1 on the empty
     /// relation.
+    ///
+    /// Each class of `π_X`, split by `π_{X∪Y}`, contributes its modal
+    /// share, summed in canonical class order; each `X`-value held by a
+    /// single row contributes 1, added last. One input gives one value.
     pub fn probability(&self, r: &Relation) -> f64 {
         if r.n_rows() == 0 {
             return 1.0;
         }
-        let groups = r.group_by(self.embedded.lhs());
-        let total: f64 = groups
-            .values()
-            .map(|rows| self.probability_for_group(r, rows))
+        let lhs = self.embedded.lhs();
+        let px = StrippedPartition::from_attrs(r, lhs);
+        let mut by_xy = StrippedPartition::from_attrs(r, lhs.union(self.embedded.rhs())).splitter();
+        let classes: f64 = px
+            .classes()
+            .iter()
+            .map(|class| modal_share(class.len(), by_xy.split(class)))
             .sum();
-        total / groups.len() as f64
+        let singletons = px.num_classes() - px.classes().len();
+        (classes + singletons as f64) / px.num_classes() as f64
     }
+}
+
+/// Share of a group of `n` rows held by its largest sub-group.
+fn modal_share(n: usize, subs: &[SubGroup]) -> f64 {
+    let max = subs.iter().map(|s| s.len).max().unwrap_or(0);
+    max as f64 / n as f64
 }
 
 impl Dependency for Pfd {
@@ -150,6 +152,24 @@ mod tests {
                 "embedding mismatch for {text}"
             );
             assert_eq!(fd.holds(&r), pfd.holds(&r));
+        }
+    }
+
+    #[test]
+    fn probability_is_one_value_for_one_input() {
+        // 97 X-values whose modal shares differ, so the sum's rounding
+        // depends on the order the groups are added in.
+        let mut b = deptree_relation::RelationBuilder::new()
+            .attr("x", deptree_relation::ValueType::Categorical)
+            .attr("y", deptree_relation::ValueType::Categorical);
+        for i in 0..1000i64 {
+            b = b.row(vec![(i % 97).into(), ((i * i) % 7).into()]);
+        }
+        let r = b.build().unwrap();
+        let pfd = Pfd::new(Fd::parse(r.schema(), "x -> y").unwrap(), 0.5);
+        let first = pfd.probability(&r).to_bits();
+        for _ in 0..20 {
+            assert_eq!(pfd.probability(&r).to_bits(), first);
         }
     }
 

@@ -15,7 +15,7 @@
 
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Dependency, Fd, Interval, Sd};
-use deptree_relation::{Relation, Value};
+use deptree_relation::{AttrSet, Relation, StrippedPartition, SubGroup, Value};
 use std::collections::HashMap;
 
 /// Outcome of a value-modification repair.
@@ -39,12 +39,20 @@ pub fn repair_fds(r: &Relation, fds: &[Fd], max_iters: usize) -> RepairResult {
     repair_fds_bounded(r, fds, max_iters, &Exec::unbounded()).result
 }
 
-/// Budgeted [`repair_fds`]: one node tick per equal-LHS group examined,
-/// row ticks for the grouping scan. On exhaustion the repair stops
-/// mid-fixpoint; every change already applied is a legitimate
-/// modal-overwrite step of the greedy trajectory, so the partial instance
-/// is a valid intermediate repair state — only full consistency
-/// (`complete == true`) is forfeit.
+/// Budgeted [`repair_fds`]: per FD and pass, row ticks for building
+/// `π_X` and `π_{X∪Y}`, then one node tick per class of `π_X` (an
+/// `X`-value held by two or more rows), visited in canonical order —
+/// ascending by first row. An `X`-value held by a single row has nothing
+/// to repair and takes no tick. The same budget therefore always stops at
+/// the same class: partial repairs are deterministic. On exhaustion the
+/// repair stops mid-fixpoint; every change already applied is a
+/// legitimate modal-overwrite step of the greedy trajectory, so the
+/// partial instance is a valid intermediate repair state — only full
+/// consistency (`complete == true`) is forfeit.
+///
+/// Each class is split by `π_{X∪Y}`. The modal sub-group is the largest;
+/// ties go to the structurally smallest `Y`-tuple. `changes` lists
+/// overwritten cells in visiting order: class, then row, then attribute.
 pub fn repair_fds_bounded(
     r: &Relation,
     fds: &[Fd],
@@ -61,32 +69,28 @@ pub fn repair_fds_bounded(
             if !exec.tick_rows(rel.n_rows() as u64) {
                 break 'search;
             }
-            for rows in rel.group_by(fd.lhs()).values() {
+            // Classes are disjoint, so overwriting one class's cells
+            // leaves every other class's split as computed here.
+            let px = StrippedPartition::from_attrs(&rel, fd.lhs());
+            let mut by_xy =
+                StrippedPartition::from_attrs(&rel, fd.lhs().union(fd.rhs())).splitter();
+            for class in px.classes() {
                 if !exec.tick_node() {
                     break 'search;
                 }
-                if rows.len() < 2 {
+                let subs = by_xy.split(class);
+                if subs.len() <= 1 {
                     continue;
                 }
-                // Modal RHS tuple of the group.
-                let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-                for &row in rows {
-                    *counts.entry(rel.project_row(row, fd.rhs())).or_default() += 1;
-                }
-                if counts.len() <= 1 {
-                    continue;
-                }
-                let Some((modal, _)) = counts
-                    .into_iter()
-                    .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
-                else {
+                let Some(modal) = modal_row(&rel, fd.rhs(), subs) else {
                     continue;
                 };
-                for &row in rows {
-                    for (attr, target) in fd.rhs().iter().zip(&modal) {
-                        if rel.value(row, attr) != target {
+                for &row in class {
+                    for attr in fd.rhs().iter() {
+                        if rel.col(attr).code(row) != rel.col(attr).code(modal) {
+                            let target = rel.value(modal, attr).clone();
                             changes.push((row, attr, rel.value(row, attr).clone()));
-                            rel.set_value(row, attr, target.clone());
+                            rel.set_value(row, attr, target);
                             changed = true;
                         }
                     }
@@ -102,6 +106,19 @@ pub fn repair_fds_bounded(
         changes,
         iterations,
     })
+}
+
+/// First row of the modal sub-group: the largest, ties toward the
+/// structurally smallest `rhs` tuple (compared only among the tied).
+fn modal_row(rel: &Relation, rhs: AttrSet, subs: &[SubGroup]) -> Option<usize> {
+    let tuple = |row: usize| rhs.iter().map(move |a| rel.value(row, a));
+    subs.iter()
+        .max_by(|a, b| {
+            a.len
+                .cmp(&b.len)
+                .then_with(|| tuple(b.first).cmp(tuple(a.first)))
+        })
+        .map(|s| s.first)
 }
 
 /// Outcome of a deletion repair.

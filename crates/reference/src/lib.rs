@@ -3,7 +3,8 @@
 //!
 //! Each function here computes the same answer as a shipped kernel by the
 //! most direct route available: grouping and ordering on [`Value`]s instead
-//! of dictionary codes, scanning every row pair instead of enumerating
+//! of dictionary codes, copying each group out of the relation instead of
+//! splitting partitions, scanning every row pair instead of enumerating
 //! blocked candidates, evaluating every predicate per pair instead of per
 //! distinct-tuple class. The shipped crates keep exactly one implementation
 //! of each operation; the tests hold them equal to these.
@@ -11,6 +12,7 @@
 //! | module | reference for |
 //! |---|---|
 //! | [`relation`] | `Relation::{group_by, distinct_count, sorted_rows}`, `StrippedPartition::{from_column, from_attrs}`, `PartitionCache` products |
+//! | [`fd`] | `Fd::{violations, g3}`, `Nud::{max_fanout, violations}`, `Pfd::probability`, `quality::repair::repair_fds` |
 //! | [`pairgen`] | `PairIndex::build_attr` |
 //! | [`od`] | the sorted single-atom check inside `Od::holds` |
 //! | [`md`] | `Md::{matching_pairs, support_confidence}`, `discovery::md::discover` |
@@ -32,6 +34,7 @@
 pub mod dc;
 pub mod dd;
 pub mod dedup;
+pub mod fd;
 pub mod md;
 pub mod ned;
 pub mod od;

@@ -4,6 +4,7 @@
 //! `""` escapes, a header row. Typed parsing: numeric columns parse to
 //! `Int`/`Float`, empty cells become `Null`.
 
+use crate::column::Column;
 use crate::relation::{Relation, RelationError};
 use crate::schema::{Schema, ValueType};
 use std::borrow::Cow;
@@ -249,18 +250,28 @@ fn quote(field: &str) -> String {
 }
 
 /// Serialize a relation to CSV text (header + rows).
+///
+/// Each dictionary entry is rendered and quoted at most once, on its
+/// first use; cells are then appended by code. Entries no row uses any
+/// more (orphaned by [`Relation::set_value`]) are never rendered.
 pub fn to_csv(rel: &Relation) -> String {
     let mut out = String::new();
     let header: Vec<String> = rel.schema().iter().map(|(_, a)| quote(&a.name)).collect();
     out.push_str(&header.join(","));
     out.push('\n');
+    let cols: Vec<&Column> = rel.schema().ids().map(|a| rel.col(a)).collect();
+    let mut rendered: Vec<Vec<Option<String>>> =
+        cols.iter().map(|c| vec![None; c.dict().len()]).collect();
     for row in 0..rel.n_rows() {
-        let cells: Vec<String> = rel
-            .schema()
-            .ids()
-            .map(|a| quote(&rel.value(row, a).render()))
-            .collect();
-        out.push_str(&cells.join(","));
+        for (i, (col, cells)) in cols.iter().zip(&mut rendered).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let code = col.code(row);
+            let cell =
+                cells[code as usize].get_or_insert_with(|| quote(&col.dict_value(code).render()));
+            out.push_str(cell);
+        }
         out.push('\n');
     }
     out

@@ -11,7 +11,9 @@
 //! * [`Relation`] — a column-oriented instance with grouping, projection and
 //!   distinct-counting helpers;
 //! * [`StrippedPartition`] — equivalence-class partitions with the product
-//!   operation, the core data structure of partition-based discovery;
+//!   operation, the core data structure of partition-based discovery, and
+//!   the [`Splitter`] that splits one partition's classes by another's,
+//!   the core of violation detection and repair;
 //! * [`PartitionCache`] — a sharded, memoized, LRU-bounded interner of
 //!   stripped partitions shared across lattice levels, dependency classes
 //!   and worker threads;
@@ -37,7 +39,7 @@ pub use attrset::AttrSet;
 pub use cache::{CacheDelta, PartitionCache};
 pub use column::{Column, ColumnIndex};
 pub use csv::{parse_csv, parse_csv_lossy, to_csv, CsvError, LossyCsv, ParseIssue};
-pub use partition::{ProductScratch, StrippedPartition};
+pub use partition::{ProductScratch, Splitter, StrippedPartition, SubGroup};
 pub use relation::{Relation, RelationBuilder, RelationError};
 pub use schema::{AttrId, Attribute, Schema, ValueType};
 pub use value::{Value, F64};

@@ -273,6 +273,33 @@ impl StrippedPartition {
         Self::from_groups(out, self.n_rows)
     }
 
+    /// The split kernel: a [`Splitter`] that splits row sets by the
+    /// classes of `self`.
+    ///
+    /// Splitting every class of `π_X` by `π_{X∪Y}` (or by `π_Y`) yields
+    /// the `Y`-sub-groups of each `X`-value, which is all that violation
+    /// witnesses, `g3`, modal repair, NUD fan-out and PFD probability
+    /// need. Labelling costs `O(n_rows + ‖self‖)` once; each split then
+    /// costs the size of the row set, with dense per-class counts and no
+    /// hashing. Unlike [`StrippedPartition::product_with`], singleton
+    /// sub-groups are kept.
+    pub fn splitter(&self) -> Splitter {
+        // Class labels and sub-group slots are `u32`s below `NO_SLOT`.
+        assert!(self.n_rows < NO_SLOT as usize, "too many rows to split");
+        let mut class_of = vec![NO_SLOT; self.n_rows];
+        for (i, cls) in self.classes.iter().enumerate() {
+            for &row in cls {
+                class_of[row] = i as u32;
+            }
+        }
+        Splitter {
+            class_of,
+            slot: vec![NO_SLOT; self.classes.len()],
+            touched: Vec::new(),
+            subs: Vec::new(),
+        }
+    }
+
     /// `π_self · π_a` by the first kernel that takes it: the radix product
     /// on `a`'s code vector ([`StrippedPartition::product_with_column`]),
     /// or — when `a`'s dictionary is too wide for that — the probe-table
@@ -480,36 +507,82 @@ impl StrippedPartition {
         self.g3_violations(rhs) as f64 / self.n_rows as f64
     }
 
-    /// Minimum number of rows to delete so that the FD `X → rhs` holds.
+    /// Minimum number of rows to delete so that the FD `X → rhs` holds:
+    /// `Σ (|c| − largest sub-group)` over the classes `c` of `π_X` split
+    /// by `rhs`.
     pub fn g3_violations(&self, rhs: &StrippedPartition) -> usize {
         assert_eq!(self.n_rows, rhs.n_rows);
-        // rhs_label[row] = Some(class) or None (singleton in rhs).
-        let mut rhs_label: Vec<Option<u32>> = vec![None; self.n_rows];
-        for (i, cls) in rhs.classes.iter().enumerate() {
-            for &row in cls {
-                rhs_label[row] = Some(i as u32);
+        let mut by_rhs = rhs.splitter();
+        self.classes
+            .iter()
+            .map(|cls| {
+                let keep = by_rhs.split(cls).iter().map(|s| s.len).max();
+                cls.len() - keep.unwrap_or(0)
+            })
+            .sum()
+    }
+}
+
+/// "No class" / "no slot" marker of the split kernel's dense tables.
+const NO_SLOT: u32 = u32::MAX;
+
+/// One sub-group of a row set split by a partition: rows that share a
+/// class of the splitting partition, or one row that is a singleton there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SubGroup {
+    /// The sub-group's first row in the split row set — its smallest row
+    /// when the set is ascending, as every stripped class is.
+    pub first: usize,
+    /// Number of rows in the sub-group.
+    pub len: usize,
+}
+
+/// The split kernel ([`StrippedPartition::splitter`]): row → class labels
+/// of one partition, plus dense per-class slots reused across splits and
+/// freed with the splitter.
+#[derive(Debug)]
+pub struct Splitter {
+    /// Row → class of the splitting partition (`NO_SLOT` = singleton).
+    class_of: Vec<u32>,
+    /// Class → index in `subs` for the current split (`NO_SLOT` = unseen).
+    slot: Vec<u32>,
+    /// Classes given a slot by the current split, for selective reset.
+    touched: Vec<u32>,
+    /// The current split's sub-groups.
+    subs: Vec<SubGroup>,
+}
+
+impl Splitter {
+    /// Split `rows` by the splitting partition's classes.
+    ///
+    /// Rows sharing a class form one sub-group; each row that is a
+    /// singleton there forms its own. Sub-groups come in order of their
+    /// first row in `rows`, so for an ascending class (every class of a
+    /// [`StrippedPartition`]) each `first` is the sub-group's minimum and
+    /// the sub-groups are ascending by it. Costs `O(|rows|)`; no `Value`
+    /// is hashed or compared. `rows` must hold distinct rows.
+    pub fn split(&mut self, rows: &[usize]) -> &[SubGroup] {
+        for &c in &self.touched {
+            self.slot[c as usize] = NO_SLOT;
+        }
+        self.touched.clear();
+        self.subs.clear();
+        for &row in rows {
+            let c = self.class_of[row];
+            if c == NO_SLOT {
+                self.subs.push(SubGroup { first: row, len: 1 });
+                continue;
+            }
+            let s = self.slot[c as usize];
+            if s == NO_SLOT {
+                self.slot[c as usize] = self.subs.len() as u32;
+                self.touched.push(c);
+                self.subs.push(SubGroup { first: row, len: 1 });
+            } else {
+                self.subs[s as usize].len += 1;
             }
         }
-        let mut violations = 0usize;
-        let mut counts: HashMap<u32, usize> = HashMap::new();
-        for cls in &self.classes {
-            counts.clear();
-            let mut singletons = 0usize;
-            for &row in cls {
-                match rhs_label[row] {
-                    Some(l) => *counts.entry(l).or_insert(0) += 1,
-                    None => singletons += 1,
-                }
-            }
-            let max_keep = counts
-                .values()
-                .copied()
-                .max()
-                .unwrap_or(0)
-                .max(usize::from(singletons > 0));
-            violations += cls.len() - max_keep;
-        }
-        violations
+        &self.subs
     }
 }
 

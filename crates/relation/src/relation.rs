@@ -227,9 +227,11 @@ impl Relation {
     /// Group rows by their values on `attrs`.
     ///
     /// Returns a map from projected key to the (sorted) row indices holding
-    /// that key. This is the workhorse behind grouping-based validation of
-    /// FDs, AFDs, PFDs, MFDs, MVDs, … — and, via the all-attribute
-    /// grouping, the tuple classing of FASTDC evidence sets. Grouping runs
+    /// that key. It backs the checks that need each group's values: CFD
+    /// patterns, MFDs, MVDs, FHDs, consistent query answering, the fairness
+    /// repairs and, via the all-attribute grouping, the tuple classing of
+    /// FASTDC evidence sets. FDs, AFDs, NUDs and PFDs need only how each
+    /// group splits, and run on [`StrippedPartition::splitter`]. Grouping runs
     /// on dictionary codes; the `Value` keys are materialized once per
     /// distinct group, not once per row.
     pub fn group_by(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {

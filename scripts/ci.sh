@@ -38,9 +38,12 @@
 #      replay is byte-identical to the reply that populated it;
 #   9. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
 #      `deptree query` calls (the discover reply must be byte-identical to
-#      the pre-columnar recorded snapshot), scrape /metrics and require
-#      every load-bearing series (including the response-cache counters),
-#      SIGTERM it, and require a graceful
+#      the pre-columnar recorded snapshot; the detect reply and the
+#      repaired CSV must be byte-identical to the local `deptree detect`
+#      stdout and `deptree repair --out` file, and to the snapshots
+#      recorded before detect and repair ran from partitions), scrape
+#      /metrics and require every load-bearing series (including the
+#      response-cache counters), SIGTERM it, and require a graceful
 #      exit 0;
 #  10. gateway smoke — boot `deptree gateway` with two workers holding
 #      `hotels` whole, require its discover reply to be byte-identical
@@ -118,8 +121,28 @@ for _ in $(seq 1 100); do
 done
 [ -n "$addr" ] || { echo "serve never reported its address"; cat "$serve_log"; exit 1; }
 target/release/deptree query datasets --addr "$addr"
-target/release/deptree query detect --addr "$addr" --dataset hotels \
-    --rule "address -> region" >/dev/null
+# Detect and repair replies: CLI ≡ serve, and both byte-identical to the
+# snapshots recorded before detection and repair ran from partitions.
+detect_reply="$(target/release/deptree query detect --addr "$addr" --dataset hotels \
+    --rule "address -> region")"
+detect_cli="$(target/release/deptree detect data/hotels.csv --types t,t,t,n,n \
+    --rule "address -> region")"
+if ! diff <(printf '%s\n' "$detect_reply") <(printf '%s\n' "$detect_cli") ||
+    ! diff <(printf '%s\n' "$detect_reply") tests/snapshots/detect_hotels_address_region.txt; then
+    echo "detect reply drifted from the CLI or the recorded snapshot"
+    exit 1
+fi
+repair_dir="$(mktemp -d)"
+trap 'rm -f "$serve_log"; rm -rf "$repair_dir"' EXIT
+target/release/deptree query repair --addr "$addr" --dataset hotels \
+    --rule "address -> region" --out "$repair_dir/served.csv" >/dev/null
+target/release/deptree repair data/hotels.csv --types t,t,t,n,n \
+    --rule "address -> region" --out "$repair_dir/cli.csv" >/dev/null
+if ! diff "$repair_dir/served.csv" "$repair_dir/cli.csv" ||
+    ! diff "$repair_dir/served.csv" tests/snapshots/repair_hotels_address_region.csv; then
+    echo "repaired CSV drifted from the CLI or the recorded snapshot"
+    exit 1
+fi
 # A discover round trip moves the engine counters (partition-cache
 # hits/misses), so the scrape below checks real numbers, not zeros.
 # Its reply is also the columnar regression gate: byte-identical to the
@@ -159,7 +182,7 @@ wait "$serve_pid"   # set -e: non-zero (ungraceful) drain fails the gate
 
 echo "== gateway smoke (whole-dataset proxy, home worker kill → failover, respawn, drain) =="
 gw_log="$(mktemp)"
-trap 'rm -f "$serve_log" "$gw_log"' EXIT
+trap 'rm -f "$serve_log" "$gw_log"; rm -rf "$repair_dir"' EXIT
 # A wide respawn window, so the answer right after the kill is provably
 # the work of failover to the other holder, not of the respawn.
 target/release/deptree gateway --data hotels=data/hotels.csv:t,t,t,n,n \
@@ -243,7 +266,7 @@ echo "== gateway rolling-restart smoke (3 workers, zero dropped requests) =="
 gw2_log="$(mktemp)"
 reload_fail_log="$(mktemp)"
 reload_keep="$(mktemp)"
-trap 'rm -f "$serve_log" "$gw_log" "$gw2_log" "$reload_fail_log" "$reload_keep"' EXIT
+trap 'rm -f "$serve_log" "$gw_log" "$gw2_log" "$reload_fail_log" "$reload_keep"; rm -rf "$repair_dir"' EXIT
 target/release/deptree gateway --data hotels=data/hotels.csv:t,t,t,n,n \
     --workers 3 --addr 127.0.0.1:0 >"$gw2_log" 2>&1 &
 gw2_pid=$!

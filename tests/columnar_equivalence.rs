@@ -5,13 +5,15 @@
 //! * **Kernel level.** Every kernel that has a row-major twin — grouping,
 //!   distinct counting and sorting, stripped partitions (direct and via
 //!   the partition cache's radix / probe-table products), candidate-pair
-//!   indexes, and the sorted order-dependency check — must equal its
-//!   `deptree_reference` counterpart on *every* attribute subset (or
-//!   attribute, spec and direction) of every relation in the corpus: the
-//!   paper's worked examples, seeded synthetics and fault-plan-corrupted
-//!   CSVs, each also after a `set` mutation that leaves orphaned
-//!   dictionary entries and after a `select` that re-encodes the
-//!   dictionaries.
+//!   indexes, the sorted order-dependency check, and the split-kernel FD
+//!   checks (violations, g3, repair, NUD fan-out, PFD probability) — must
+//!   equal its `deptree_reference` counterpart on *every* attribute subset
+//!   (or attribute, spec and direction; for the FD checks, every `X` of at
+//!   most two attributes and every single `Y`) of every relation in the
+//!   corpus: the paper's worked examples, seeded synthetics and
+//!   fault-plan-corrupted CSVs, each also after a `set` mutation that
+//!   leaves orphaned dictionary entries and after a `select` that
+//!   re-encodes the dictionaries.
 //! * **Task level.** Every discovery and quality task must render
 //!   **byte-identical** output at 1/2/8 threads, including under tight
 //!   node and row budgets (sound partials included), across the same
@@ -21,16 +23,19 @@
 mod common;
 
 use deptree::core::engine::{Budget, Exec};
-use deptree::core::{Dependency, Direction, NedAtom, Od};
+use deptree::core::{Dependency, Direction, Fd, NedAtom, Nud, Od, Pfd};
 use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
+use deptree::quality::repair;
 use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
 use deptree::relation::pairgen::{PairIndex, PairSpec};
 use deptree::relation::{
-    parse_csv_lossy, to_csv, AttrSet, PartitionCache, Relation, StrippedPartition, Value, ValueType,
+    parse_csv_lossy, to_csv, AttrId, AttrSet, PartitionCache, Relation, StrippedPartition, Value,
+    ValueType,
 };
 use deptree::serve::tasks::{self, ProfileOpts};
 use deptree::synth::fault::FaultPlan;
+use deptree::synth::{categorical, CategoricalConfig};
 use deptree_reference as reference;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -314,7 +319,7 @@ fn budget_truncated_partials_are_byte_identical() {
         ("r7".to_string(), hotels_r7()),
         seeded_synthetics().swap_remove(0),
     ];
-    for (dlabel, r) in &datasets {
+    for (dlabel, r) in datasets.iter().chain([&planted_violations()]) {
         for (blabel, budget) in &budgets {
             assert_equiv(
                 &format!("partial profile {dlabel} {blabel}"),
@@ -326,8 +331,29 @@ fn budget_truncated_partials_are_byte_identical() {
                 budget,
                 &|exec| render_miners(r, exec),
             );
+            assert_equiv(
+                &format!("partial quality {dlabel} {blabel}"),
+                budget,
+                &|exec| render_quality(r, exec),
+            );
         }
     }
+}
+
+/// A key → dependent table with planted errors: its repaired rule has
+/// far more violating key groups than the node budgets above allow, so a
+/// truncated repair stops part-way through them.
+fn planted_violations() -> (String, Relation) {
+    let cfg = CategoricalConfig {
+        n_rows: 2000,
+        n_key_attrs: 1,
+        n_dep_attrs: 1,
+        domain: 100,
+        error_rate: 0.1,
+        seed: 3,
+    };
+    let data = categorical::generate(&cfg, &mut deptree::synth::rng(cfg.seed));
+    ("planted".into(), data.relation)
 }
 
 // ---------------------------------------------------------------------
@@ -546,6 +572,59 @@ fn od_check_matches_reference_on_every_attribute_pair() {
                         assert_eq!(o.holds(&r), want, "{label}: {o}");
                     }
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn fd_checks_match_reference_on_every_attribute_pair() {
+    for (label, r) in kernel_corpus() {
+        let s = r.schema();
+        let lhs_sets = all_subsets(&r).into_iter().filter(|x| x.len() <= 2);
+        for x in lhs_sets {
+            for y in s.ids() {
+                let y = AttrSet::single(y);
+                let fd = Fd::new(s, x, y);
+                let what = format!("{label}: {fd}");
+                assert_eq!(
+                    fd.violations(&r),
+                    reference::fd::fd_violations(&r, x, y),
+                    "{what}: violations"
+                );
+                assert_eq!(
+                    fd.g3(&r).to_bits(),
+                    reference::fd::g3(&r, x, y).to_bits(),
+                    "{what}: g3"
+                );
+                let got = repair::repair_fds(&r, std::slice::from_ref(&fd), 10);
+                let want = reference::fd::repair_fds(&r, std::slice::from_ref(&fd), 10);
+                assert_eq!(got.relation, want.relation, "{what}: repaired relation");
+                assert_eq!(got.iterations, want.iterations, "{what}: iterations");
+                let as_set = |mut c: Vec<(usize, AttrId, Value)>| {
+                    c.sort();
+                    c
+                };
+                assert_eq!(
+                    as_set(got.changes),
+                    as_set(want.changes),
+                    "{what}: repair changes"
+                );
+                assert_eq!(
+                    Nud::new(s, x, y, 1).max_fanout(&r),
+                    reference::fd::nud_max_fanout(&r, x, y),
+                    "{what}: NUD fan-out"
+                );
+                for k in [1, 2] {
+                    assert_eq!(
+                        Nud::new(s, x, y, k).violations(&r),
+                        reference::fd::nud_violations(&r, x, y, k),
+                        "{what}: NUD k={k} witnesses"
+                    );
+                }
+                let p = Pfd::from_fd(fd.clone()).probability(&r);
+                let want_p = reference::fd::pfd_probability(&r, x, y);
+                assert!((p - want_p).abs() <= 1e-12, "{what}: PFD {p} vs {want_p}");
             }
         }
     }
