@@ -1,6 +1,14 @@
 //! Minimal-hitting-set search shared by FastFD (difference sets) and
 //! FASTDC (evidence-set complements): both reduce "find all minimal valid
 //! dependencies" to "find all minimal sets hitting every set in a family".
+//!
+//! The search runs on *hit bitsets*: for each element `e` of the universe,
+//! `hits[e]` is the set of family members containing `e`, one bit per
+//! member, 64 members per word. Every per-node question of the classic DFS
+//! then becomes a word operation: the first uncovered member is the lowest
+//! set bit of the uncovered words, an element's coverage is
+//! `popcount(hits[e] & uncovered)`, and a chosen element is redundant iff
+//! every member it hits is hit at least twice.
 
 use deptree_core::engine::Exec;
 
@@ -47,8 +55,9 @@ pub fn minimal_hitting_sets_bounded(
         // An empty set can never be hit.
         return (Vec::new(), true);
     }
+    let search = HitSets::new(&minimal_family);
     let mut out: Vec<u64> = Vec::new();
-    let complete = dfs(&minimal_family, 0u64, &mut out, exec);
+    let complete = search.dfs(0u64, &mut search.root_state(), &mut out, exec);
     // The DFS can emit non-minimal sets via different branch orders;
     // filter to the minimal antichain.
     out.sort_by_key(|s| s.count_ones());
@@ -62,47 +71,121 @@ pub fn minimal_hitting_sets_bounded(
     (result, complete)
 }
 
-/// Returns false when the budget cut the search short.
-fn dfs(family: &[u64], chosen: u64, out: &mut Vec<u64>, exec: &Exec) -> bool {
-    if !exec.tick_node() {
-        return false;
-    }
-    // First set not yet hit.
-    let Some(&uncovered) = family.iter().find(|&&s| s & chosen == 0) else {
-        out.push(chosen);
-        return true;
-    };
-    // Branch on each element of the uncovered set; order by coverage of
-    // remaining sets (descending) to find small covers early.
-    let mut elems: Vec<u32> = (0..64).filter(|&b| uncovered & (1 << b) != 0).collect();
-    elems.sort_by_key(|&b| {
-        std::cmp::Reverse(
-            family
-                .iter()
-                .filter(|&&s| s & chosen == 0 && s & (1 << b) != 0)
-                .count(),
-        )
-    });
-    for b in elems {
-        let next = chosen | (1 << b);
-        // Cheap local pruning: an already-chosen element whose hit sets
-        // are all also hit by the rest of `next` makes `next` non-minimal;
-        // a strict subset will be found on another branch.
-        let redundant = (0..64).filter(|&c| chosen & (1 << c) != 0).any(|c| {
-            let without = next & !(1 << c);
-            family
-                .iter()
-                .filter(|&&s| s & (1 << c) != 0)
-                .all(|&s| s & without != 0)
-        });
-        if redundant {
-            continue;
+/// The minimal family, transposed: per universe element, the bitset of
+/// family members it hits.
+struct HitSets<'a> {
+    family: &'a [u64],
+    /// Words per member bitset: one per 64 family members.
+    words: usize,
+    /// `hits[e * words..(e + 1) * words]`: members containing element `e`.
+    hits: Vec<u64>,
+}
+
+impl<'a> HitSets<'a> {
+    fn new(family: &'a [u64]) -> Self {
+        let words = family.len().div_ceil(64).max(1);
+        let mut hits = vec![0u64; 64 * words];
+        for (m, &s) in family.iter().enumerate() {
+            for e in elements(s) {
+                hits[e * words + m / 64] |= 1 << (m % 64);
+            }
         }
-        if !dfs(family, next, out, exec) {
+        HitSets {
+            family,
+            words,
+            hits,
+        }
+    }
+
+    fn hits(&self, e: usize) -> &[u64] {
+        &self.hits[e * self.words..(e + 1) * self.words]
+    }
+
+    /// The DFS state stack, root frame filled in. A frame is the
+    /// members still uncovered by the node's chosen set, then the members
+    /// it hits at least twice; node depth `d` reads frame `d` and builds
+    /// its children in frame `d + 1`. A chosen set has at most 64
+    /// elements, so 65 frames always suffice.
+    fn root_state(&self) -> Vec<u64> {
+        let w = self.words;
+        let mut state = vec![0u64; 2 * w * 65];
+        for m in 0..self.family.len() {
+            state[m / 64] |= 1 << (m % 64);
+        }
+        state
+    }
+
+    /// Returns false when the budget cut the search short.
+    fn dfs(&self, chosen: u64, state: &mut [u64], out: &mut Vec<u64>, exec: &Exec) -> bool {
+        if !exec.tick_node() {
             return false;
         }
+        let w = self.words;
+        let (frame, rest) = state.split_at_mut(2 * w);
+        let (uncovered, twice) = frame.split_at(w);
+        // First member not yet hit.
+        let Some(first) = uncovered
+            .iter()
+            .position(|&word| word != 0)
+            .map(|i| i * 64 + uncovered[i].trailing_zeros() as usize)
+        else {
+            out.push(chosen);
+            return true;
+        };
+        // Branch on each element of that member, ascending, stably sorted
+        // by coverage of the remaining members (descending) to find small
+        // covers early: the key (Reverse(count), element) is that order.
+        let mut order = [0u64; 64];
+        let mut n = 0;
+        for e in elements(self.family[first]) {
+            let count: u32 = self
+                .hits(e)
+                .iter()
+                .zip(uncovered)
+                .map(|(h, u)| (h & u).count_ones())
+                .sum();
+            order[n] = (u64::from(u32::MAX - count) << 6) | e as u64;
+            n += 1;
+        }
+        order[..n].sort_unstable();
+        for &key in &order[..n] {
+            let e = (key & 63) as usize;
+            let h = self.hits(e);
+            let (next_uncovered, next_twice) = rest[..2 * w].split_at_mut(w);
+            for i in 0..w {
+                next_uncovered[i] = uncovered[i] & !h[i];
+                next_twice[i] = twice[i] | (!uncovered[i] & h[i]);
+            }
+            // Cheap local pruning: an already-chosen element all of whose
+            // members are hit twice by `next` is hit again by the rest of
+            // it, which makes `next` non-minimal; a strict subset will be
+            // found on another branch.
+            let redundant = elements(chosen).any(|c| {
+                self.hits(c)
+                    .iter()
+                    .zip(&*next_twice)
+                    .all(|(hc, t)| hc & !t == 0)
+            });
+            if redundant {
+                continue;
+            }
+            if !self.dfs(chosen | (1 << e), rest, out, exec) {
+                return false;
+            }
+        }
+        true
     }
-    true
+}
+
+/// The members of a bitset, ascending.
+fn elements(mut set: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (set != 0).then(|| {
+            let e = set.trailing_zeros() as usize;
+            set &= set - 1;
+            e
+        })
+    })
 }
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 
 use crate::cover::{minimal_hitting_sets, minimal_hitting_sets_bounded};
 use deptree_core::engine::{pool, Exec, Outcome};
-use deptree_core::{CmpOp, Dc, Predicate};
-use deptree_relation::{AttrId, Relation, ValueType};
+use deptree_core::{CmpOp, Dc, Operand, Predicate};
+use deptree_relation::{AttrId, Relation, Value, ValueType};
 use std::collections::HashMap;
 
 /// Configuration for [`discover`].
@@ -56,6 +56,132 @@ pub struct FastDcStats {
     pub pairs_evaluated: usize,
 }
 
+/// Outcomes of comparing one attribute across a tuple pair, as indexes
+/// into [`AttrBits::table`].
+const LT: usize = 0;
+const EQ: usize = 1;
+const GT: usize = 2;
+const BOTH_NULL: usize = 3;
+const ONE_NULL: usize = 4;
+/// The outcome of the pair read in the other orientation.
+const MIRROR: [usize; 5] = [GT, EQ, LT, BOTH_NULL, ONE_NULL];
+/// The rank that marks the null code.
+const NULL_RANK: u32 = u32::MAX;
+
+/// The pair-evidence kernel: a predicate list compiled once per run, so
+/// that a tuple pair's evidence bits cost one rank comparison and one OR
+/// per attribute instead of one [`Predicate::eval`] per predicate.
+///
+/// Predicates `tα.A op tβ.A` are grouped by attribute. [`CmpOp::eval`]
+/// compares with [`Value::numeric_cmp`] and treats nulls specially, so
+/// its verdict is a function of one of five outcomes — `<`, `=`, `>`,
+/// both null, one null — and the outcome is read off per-code ranks:
+/// [`deptree_relation::ColumnIndex::num_rank`], which ties `Int(2)` with
+/// `Float(2.0)` and orders `-0.0` and `NaN` as `total_cmp` does, with the
+/// null code marked. Predicates of any other shape (constants,
+/// cross-attribute) are evaluated with [`Predicate::eval`].
+struct PairKernel<'a> {
+    r: &'a Relation,
+    attrs: Vec<AttrBits<'a>>,
+    other: Vec<(u64, &'a Predicate)>,
+}
+
+/// One attribute's share of a [`PairKernel`].
+struct AttrBits<'a> {
+    codes: &'a [u32],
+    /// Per dictionary code: its numeric rank, or [`NULL_RANK`].
+    ranks: Vec<u32>,
+    /// Per outcome of `tα.A` against `tβ.A`: the predicate bits it sets.
+    table: [u64; 5],
+}
+
+impl<'a> PairKernel<'a> {
+    fn new(r: &'a Relation, preds: &'a [Predicate]) -> Self {
+        assert!(preds.len() <= 64, "predicate space capped at 64 bits");
+        // One representative value pair per outcome; the table is
+        // `CmpOp::eval` on it, so it cannot drift from the operator.
+        let (lo, hi) = (Value::Int(0), Value::Int(1));
+        let samples = [
+            (&lo, &hi),
+            (&lo, &lo),
+            (&hi, &lo),
+            (&Value::Null, &Value::Null),
+            (&Value::Null, &lo),
+        ];
+        let mut attrs: Vec<AttrBits<'a>> = Vec::new();
+        let mut slot: HashMap<AttrId, usize> = HashMap::new();
+        let mut other = Vec::new();
+        for (k, p) in preds.iter().enumerate() {
+            let (Operand::First(a), Operand::Second(b)) = (&p.left, &p.right) else {
+                other.push((1u64 << k, p));
+                continue;
+            };
+            if a != b {
+                other.push((1u64 << k, p));
+                continue;
+            }
+            let at = *slot.entry(*a).or_insert_with(|| {
+                let col = r.col(*a);
+                let index = col.index();
+                let ranks = (0..col.dict().len() as u32)
+                    .map(|code| {
+                        if col.dict_value(code).is_null() {
+                            NULL_RANK
+                        } else {
+                            index.num_rank(code)
+                        }
+                    })
+                    .collect();
+                attrs.push(AttrBits {
+                    codes: col.codes(),
+                    ranks,
+                    table: [0; 5],
+                });
+                attrs.len() - 1
+            });
+            for (o, (x, y)) in samples.iter().enumerate() {
+                if p.op.eval(x, y) {
+                    attrs[at].table[o] |= 1 << k;
+                }
+            }
+        }
+        PairKernel { r, attrs, other }
+    }
+
+    /// The evidence bits of `(ti, tj)` and of `(tj, ti)`.
+    #[inline]
+    fn pair(&self, i: usize, j: usize) -> (u64, u64) {
+        let (mut ij, mut ji) = (0u64, 0u64);
+        for at in &self.attrs {
+            let a = at.ranks[at.codes[i] as usize];
+            let b = at.ranks[at.codes[j] as usize];
+            let o = match (a == NULL_RANK, b == NULL_RANK) {
+                // LT, EQ or GT, without a branch.
+                (false, false) => usize::from(a >= b) + usize::from(a > b),
+                (true, true) => BOTH_NULL,
+                _ => ONE_NULL,
+            };
+            ij |= at.table[o];
+            ji |= at.table[MIRROR[o]];
+        }
+        for &(bit, p) in &self.other {
+            if p.eval(self.r, i, j) {
+                ij |= bit;
+            }
+            if p.eval(self.r, j, i) {
+                ji |= bit;
+            }
+        }
+        (ij, ji)
+    }
+
+    /// The evidence bits of `(ti, tj)`.
+    #[inline]
+    fn bits(&self, i: usize, j: usize) -> u64 {
+        self.pair(i, j).0
+    }
+}
+
 /// Compute the *evidence sets*: for each ordered tuple pair, the bitset of
 /// predicates it satisfies, as distinct evidence sets with their
 /// multiplicities.
@@ -65,8 +191,10 @@ pub struct FastDcStats {
 /// result with the class-product multiplicity. An evidence bitset is a
 /// pure function of the two tuples' values, so rows within a class are
 /// interchangeable and the multiset equals a per-pair scan's exactly — in
-/// `O(d²·|P|)` for `d` distinct tuples instead of `O(n²·|P|)`. This is the
-/// evidence path of [`discover_bounded`].
+/// `O(d²·|P|)` for `d` distinct tuples instead of `O(n²·|P|)`. Each class
+/// pair is one call of the compiled pair-evidence kernel, which yields
+/// both orientations at once. This is the evidence path of
+/// [`discover_bounded`].
 ///
 /// Budgeted: every *represented* ordered pair costs one engine row tick
 /// (`Σ = n(n−1)` when complete, matching a per-pair scan). Ticks are charged block-by-block — one block per left
@@ -80,7 +208,7 @@ pub fn evidence_sets_blocked(
     stats: &mut FastDcStats,
     exec: &Exec,
 ) -> (HashMap<u64, usize>, bool) {
-    assert!(preds.len() <= 64, "predicate space capped at 64 bits");
+    let kernel = PairKernel::new(r, preds);
     let mut span = exec.span("dc.evidence");
     let mut classes: Vec<Vec<usize>> = r.group_by(r.all_attrs()).into_values().collect();
     for c in &mut classes {
@@ -106,15 +234,6 @@ pub fn evidence_sets_blocked(
         if exec.interrupted() {
             return None;
         }
-        let bits = |i: usize, j: usize| -> u64 {
-            let mut bits = 0u64;
-            for (k, p) in preds.iter().enumerate() {
-                if p.eval(r, i, j) {
-                    bits |= 1 << k;
-                }
-            }
-            bits
-        };
         let c1 = &classes[b];
         let rep1 = c1[0];
         let s1 = c1.len();
@@ -122,12 +241,13 @@ pub fn evidence_sets_blocked(
         if s1 > 1 {
             // All intra-class ordered pairs relate identical tuples and
             // share one evidence set.
-            out.push((bits(rep1, c1[1]), s1 * (s1 - 1)));
+            out.push((kernel.bits(rep1, c1[1]), s1 * (s1 - 1)));
         }
         for c2 in &classes[b + 1..] {
             let mult = s1 * c2.len();
-            out.push((bits(rep1, c2[0]), mult));
-            out.push((bits(c2[0], rep1), mult));
+            let (fwd, rev) = kernel.pair(rep1, c2[0]);
+            out.push((fwd, mult));
+            out.push((rev, mult));
         }
         Some(out)
     });
@@ -229,7 +349,7 @@ pub fn discover_bounded(r: &Relation, cfg: &DcConfig, exec: &Exec) -> Outcome<Fa
         }
         // With a truncated evidence scan the cover is only a candidate:
         // validate before emitting so partial results stay sound.
-        if !evidence_complete && !matches!(validate_bounded(r, &chosen, exec), Some(true)) {
+        if !evidence_complete && !matches!(validate_bounded(r, &preds, cover, exec), Some(true)) {
             continue;
         }
         dcs.push(Dc::new(r.schema(), chosen));
@@ -237,9 +357,11 @@ pub fn discover_bounded(r: &Relation, cfg: &DcConfig, exec: &Exec) -> Outcome<Fa
     exec.finish(FastDcResult { dcs, stats })
 }
 
-/// Does `¬(⋀ preds)` hold on every ordered tuple pair? `None` when the
-/// budget died before the scan finished.
-fn validate_bounded(r: &Relation, preds: &[Predicate], exec: &Exec) -> Option<bool> {
+/// Does `¬(⋀ cover)` hold on every ordered tuple pair, `cover` being a
+/// bitset over `preds`? `None` when the budget died before the scan
+/// finished.
+fn validate_bounded(r: &Relation, preds: &[Predicate], cover: u64, exec: &Exec) -> Option<bool> {
+    let kernel = PairKernel::new(r, preds);
     for i in 0..r.n_rows() {
         for j in 0..r.n_rows() {
             if i == j {
@@ -248,7 +370,7 @@ fn validate_bounded(r: &Relation, preds: &[Predicate], exec: &Exec) -> Option<bo
             if !exec.tick_rows(1) {
                 return None;
             }
-            if preds.iter().all(|p| p.eval(r, i, j)) {
+            if kernel.bits(i, j) & cover == cover {
                 return Some(false);
             }
         }
@@ -279,15 +401,10 @@ pub fn discover_hydra(r: &Relation, cfg: &DcConfig, sample_stride: usize) -> Fas
     } else {
         (1u64 << preds.len()) - 1
     };
+    let kernel = PairKernel::new(r, &preds);
     let pair_bits = |i: usize, j: usize, stats: &mut FastDcStats| -> u64 {
         stats.pairs_evaluated += 1;
-        let mut bits = 0u64;
-        for (k, p) in preds.iter().enumerate() {
-            if p.eval(r, i, j) {
-                bits |= 1 << k;
-            }
-        }
-        bits
+        kernel.bits(i, j)
     };
 
     // Phase 1: sampled evidence.

@@ -159,6 +159,11 @@ pub fn discover_bounded(r: &Relation, exec: &Exec) -> Outcome<FastFdResult> {
     let mut cover_span = exec.span("fastfd.covers");
     let mut fds = Vec::new();
     'emit: for rhs in r.schema().ids() {
+        // A spent budget fails every later search at its first node, so
+        // stop before paying for another family's reduction.
+        if !exec.poll() {
+            break;
+        }
         // FDs X → rhs: X must intersect every difference set containing
         // rhs, using only attributes ≠ rhs.
         let relevant: Vec<u64> = diffs

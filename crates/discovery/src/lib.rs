@@ -6,6 +6,7 @@
 //! |---|---|---|
 //! | [`tane`] | TANE: level-wise lattice + stripped partitions; exact FDs and AFDs | \[53, 54\] |
 //! | [`fastfd`] | FastFD: difference sets + DFS minimal covers | \[112\] |
+//! | [`cover`] | the minimal-hitting-set DFS FastFD and FASTDC share, on per-element hit bitsets | \[112, 19\] |
 //! | [`cords`] | CORDS: sampling, strength, chi-square correlation | \[55\] |
 //! | [`pfd`] | per-value counting, single-table and multi-source merge | \[104\] |
 //! | [`cfd`] | CFDMiner (constant CFDs), CTANE-lite (general CFDs), greedy near-optimal tableau | \[35, 36, 49\] |
@@ -36,7 +37,7 @@ pub mod cd;
 pub mod cfd;
 pub mod conditional;
 pub mod cords;
-mod cover;
+pub mod cover;
 pub mod dc;
 pub mod dd;
 pub mod ecfd;

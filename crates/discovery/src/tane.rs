@@ -15,7 +15,7 @@
 use deptree_core::engine::{obs, pool, Exec, Outcome};
 use deptree_core::Fd;
 use deptree_relation::{AttrSet, PartitionCache, Relation};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -140,8 +140,11 @@ pub fn discover_with_cache(
     // generated (singletons are kept for approximate checks).
     let mut prev_level: Vec<AttrSet> = Vec::new();
 
+    // Levels up to max_lhs + 1 are evaluated: level d decides FDs with
+    // |LHS| = d − 1.
+    let last_depth = cfg.max_lhs.saturating_add(1).min(n_attrs);
     let mut depth = 1usize;
-    'search: while !level.is_empty() && depth <= cfg.max_lhs.saturating_add(1).min(n_attrs) {
+    'search: while !level.is_empty() && depth <= last_depth {
         let mut level_span = exec.span("tane.level");
         level_span.attr("level", depth as u64);
         level_span.attr("candidates", level.len() as u64);
@@ -200,7 +203,9 @@ pub fn discover_with_cache(
             }
             cplus.insert(x, cx);
         }
-        if granted < level.len() {
+        // A deadline or cancellation that fired during the batch stops the
+        // search here rather than after the next level's generation.
+        if granted < level.len() || exec.interrupted() {
             break 'search;
         }
 
@@ -234,30 +239,17 @@ pub fn discover_with_cache(
             survivors.push(x);
         }
         level = survivors;
-
-        // generate_next_level: join nodes sharing a (|X|−1)-prefix. The
-        // union list is assembled serially (cheap bitset algebra), the
-        // partition products are computed in parallel through the shared
-        // cache, and budget charges replay serially in canonical order so
-        // row/memory exhaustion cuts at the same union at every thread
-        // count.
-        let mut unions: Vec<AttrSet> = Vec::new();
-        let mut seen: HashSet<AttrSet> = HashSet::new();
-        for i in 0..level.len() {
-            for j in (i + 1)..level.len() {
-                let union = level[i].union(level[j]);
-                if union.len() != depth + 1 || !seen.insert(union) {
-                    continue;
-                }
-                // All |X|−1 subsets must survive in the current (pruned)
-                // level for the node to be generable — children of pruned
-                // nodes are implied or hopeless (standard TANE test).
-                let all_parents = union.iter().all(|c| level.contains(&union.remove(c)));
-                if all_parents {
-                    unions.push(union);
-                }
-            }
+        if depth == last_depth {
+            // The next level would never be evaluated: skip its products.
+            break 'search;
         }
+
+        // generate_next_level: the union list is assembled serially
+        // (cheap bitset algebra), the partition products are computed in
+        // parallel through the shared cache, and budget charges replay
+        // serially in canonical order so row/memory exhaustion cuts at the
+        // same union at every thread count.
+        let unions = next_level(&level);
         let mut product_span = exec.span("tane.products");
         product_span.attr("level", depth as u64);
         product_span.attr("products", unions.len() as u64);
@@ -322,6 +314,42 @@ pub fn discover_with_cache(
     exec.finish(TaneResult { fds, stats })
 }
 
+/// TANE's candidate generation: join the nodes of `level` (all of one
+/// size) that share all but their largest attribute, and keep each union
+/// whose parents — its subsets one attribute smaller — all survive in
+/// `level` (children of pruned nodes are implied or hopeless).
+///
+/// Unions come out ordered by the level indexes of their two
+/// lowest-indexed parents: the order in which a join over all pairs
+/// `i < j` of `level` first meets them. Node budgets cut a level at a
+/// prefix of this order, so it is part of the output contract.
+fn next_level(level: &[AttrSet]) -> Vec<AttrSet> {
+    let index: HashMap<AttrSet, usize> = level.iter().enumerate().map(|(i, &x)| (x, i)).collect();
+    let mut blocks: HashMap<AttrSet, Vec<usize>> = HashMap::new();
+    for (i, &x) in level.iter().enumerate() {
+        let prefix = x.max().map_or(x, |m| x.remove(m));
+        blocks.entry(prefix).or_default().push(i);
+    }
+    let mut keyed: Vec<((usize, usize), AttrSet)> = Vec::new();
+    for members in blocks.values() {
+        for (k, &i) in members.iter().enumerate() {
+            for &j in &members[k + 1..] {
+                let union = level[i].union(level[j]);
+                let parents: Option<Vec<usize>> = union
+                    .iter()
+                    .map(|c| index.get(&union.remove(c)).copied())
+                    .collect();
+                if let Some(mut parents) = parents {
+                    parents.sort_unstable();
+                    keyed.push(((parents[0], parents[1]), union));
+                }
+            }
+        }
+    }
+    keyed.sort_unstable_by_key(|&(lowest, _)| lowest);
+    keyed.into_iter().map(|(_, union)| union).collect()
+}
+
 /// Look up `C+(set)`, computing it on demand through the TANE recurrence
 /// `C+(X) = ∩_{B∈X} C+(X \ {B})` (with `C+(∅)` = all attributes) when the
 /// node was never generated; memoizes the result.
@@ -347,6 +375,7 @@ mod tests {
     use deptree_relation::examples::{hotels_r5, hotels_r7};
     use deptree_relation::AttrId;
     use deptree_synth::{categorical, CategoricalConfig};
+    use std::collections::HashSet;
 
     #[test]
     fn discovers_planted_fds() {
@@ -536,6 +565,86 @@ mod tests {
         // except the intermediates the first run released level-by-level.
         assert!(warm.result.stats.cache_hits > 0);
         assert!(warm.result.stats.cache_misses <= first.result.stats.cache_misses);
+    }
+
+    /// The all-pairs join `next_level` replaced: every pair `i < j` of the
+    /// level, first occurrence of each union kept.
+    fn next_level_all_pairs(level: &[AttrSet], depth: usize) -> Vec<AttrSet> {
+        let mut unions: Vec<AttrSet> = Vec::new();
+        let mut seen: HashSet<AttrSet> = HashSet::new();
+        for i in 0..level.len() {
+            for j in (i + 1)..level.len() {
+                let union = level[i].union(level[j]);
+                if union.len() != depth + 1 || !seen.insert(union) {
+                    continue;
+                }
+                let all_parents = union.iter().all(|c| level.contains(&union.remove(c)));
+                if all_parents {
+                    unions.push(union);
+                }
+            }
+        }
+        unions
+    }
+
+    #[test]
+    fn prefix_join_matches_all_pairs_join_in_order() {
+        let mut rng = deptree_synth::rng(0x7A4E);
+        for case in 0..400 {
+            let n_attrs = rng.random_range(2..=9usize);
+            let depth = rng.random_range(1..=n_attrs.min(4));
+            // A random sample of the depth-subsets, in random order: the
+            // order of a pruned level is part of the input.
+            let mut level: Vec<AttrSet> = (0..1u64 << n_attrs)
+                .map(AttrSet::from_bits)
+                .filter(|x| x.len() == depth && rng.random_bool(0.7))
+                .collect();
+            for i in (1..level.len()).rev() {
+                level.swap(i, rng.random_range(0..=i));
+            }
+            assert_eq!(
+                next_level(&level),
+                next_level_all_pairs(&level, depth),
+                "case {case}: {level:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn last_level_is_not_materialised() {
+        // Four attributes over a 3-value domain with every row twice: no
+        // attribute (or pair) is a key, so level 2 survives pruning and
+        // level 3 could be generated — but with max_lhs 1 it is never
+        // evaluated, so none of its partitions may be computed.
+        let cfg = CategoricalConfig {
+            n_rows: 40,
+            n_key_attrs: 4,
+            n_dep_attrs: 0,
+            domain: 3,
+            error_rate: 0.0,
+            seed: 5,
+        };
+        let data = categorical::generate(&cfg, &mut deptree_synth::rng(cfg.seed));
+        let twice: Vec<usize> = (0..data.relation.n_rows()).flat_map(|i| [i, i]).collect();
+        let r = data.relation.select_rows(&twice);
+        assert!(r.n_attrs() >= 4);
+        let cache = PartitionCache::new();
+        let cfg = TaneConfig {
+            max_lhs: 1,
+            max_error: 0.0,
+        };
+        let out = discover_with_cache(&r, &cfg, &Exec::unbounded(), &cache);
+        assert!(out.complete);
+        for a in r.schema().ids() {
+            let (p, _) = cache.get_or_compute(&r, AttrSet::single(a));
+            assert!(p.error() > 0, "attribute {a:?} is a key");
+        }
+        let triples = (0..1u64 << r.n_attrs())
+            .map(AttrSet::from_bits)
+            .filter(|x| x.len() == 3);
+        for x in triples {
+            assert!(cache.get(x).is_none(), "3-attribute partition {x:?} cached");
+        }
     }
 
     #[test]

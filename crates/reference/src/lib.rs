@@ -19,6 +19,7 @@
 //! | [`ned`] | `Ned::support_confidence` |
 //! | [`dd`] | `Dd::support_confidence`, `discovery::dd::discover` |
 //! | [`dc`] | `discovery::dc::evidence_sets_blocked` |
+//! | [`cover`] | `discovery::cover::minimal_hitting_sets_bounded` |
 //! | [`dedup`] | `quality::dedup::cluster` |
 //!
 //! Only the public API of the shipped crates is used. Where a reference
@@ -31,6 +32,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cover;
 pub mod dc;
 pub mod dd;
 pub mod dedup;

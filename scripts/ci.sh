@@ -36,15 +36,18 @@
 #      at a reduced size and require that connection reuse beats
 #      close-per-request, the response cache actually hits, and a cached
 #      replay is byte-identical to the reply that populated it;
-#   9. serve smoke — boot `deptree serve` on an ephemeral port, round-trip
-#      `deptree query` calls (the discover reply must be byte-identical to
-#      the pre-columnar recorded snapshot; the detect reply and the
-#      repaired CSV must be byte-identical to the local `deptree detect`
-#      stdout and `deptree repair --out` file, and to the snapshots
-#      recorded before detect and repair ran from partitions), scrape
-#      /metrics and require every load-bearing series (including the
-#      response-cache counters), SIGTERM it, and require a graceful
-#      exit 0;
+#   9. serve smoke — boot `deptree serve` on an ephemeral port with two
+#      datasets, round-trip `deptree query` calls (the `hotels` discover
+#      reply must be byte-identical to the pre-columnar recorded
+#      snapshot, and the discover reply of the adversarial `ledger`
+#      table to the CLI profile recorded before FASTDC ran on its
+#      pair-evidence kernel and bitset cover search; the detect reply
+#      and the repaired CSV must be byte-identical to the local
+#      `deptree detect` stdout and `deptree repair --out` file, and to
+#      the snapshots recorded before detect and repair ran from
+#      partitions), scrape /metrics and require every load-bearing
+#      series (including the response-cache counters), SIGTERM it, and
+#      require a graceful exit 0;
 #  10. gateway smoke — boot `deptree gateway` with two workers holding
 #      `hotels` whole, require its discover reply to be byte-identical
 #      to the same recorded snapshot, `kill -9` the home worker of
@@ -110,6 +113,7 @@ echo "== serve smoke (boot, query round trip, drain to exit 0) =="
 serve_log="$(mktemp)"
 trap 'rm -f "$serve_log"' EXIT
 target/release/deptree serve --data hotels=data/hotels.csv:t,t,t,n,n \
+    --data ledger=tests/snapshots/ledger_adversarial.csv:c,c,c,n,n,n \
     --addr 127.0.0.1:0 >"$serve_log" 2>&1 &
 serve_pid=$!
 addr=""
@@ -152,6 +156,16 @@ discover_reply="$(target/release/deptree query discover --addr "$addr" \
 if ! diff <(printf '%s\n' "$discover_reply") \
         tests/snapshots/discover_hotels_maxlhs2.txt; then
     echo "discover reply drifted from the pre-columnar snapshot"
+    exit 1
+fi
+# FASTDC's gate: the served discover of the adversarial ledger table
+# (empty cells, NaN, -0.0, 2 beside 2.0) is byte-identical to the CLI
+# profile recorded before FASTDC ran on its pair-evidence kernel.
+ledger_reply="$(target/release/deptree query discover --addr "$addr" \
+    --dataset ledger --max-lhs 2)"
+if ! diff <(printf '%s\n' "$ledger_reply") \
+        tests/snapshots/profile_ledger_adversarial_maxlhs2.txt; then
+    echo "ledger discover reply drifted from the recorded FASTDC snapshot"
     exit 1
 fi
 

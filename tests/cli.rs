@@ -34,6 +34,33 @@ fn profile_reports_fds_and_dcs() {
     assert!(stdout.contains("denial constraints"));
 }
 
+/// FASTDC's bytes end to end on a 200-row `ledger`-shaped table whose
+/// numeric cells include empty cells, `NaN`, `-0.0` and `2` beside `2.0`:
+/// the snapshot was recorded before FASTDC ran on its compiled
+/// pair-evidence kernel and bitset cover search.
+#[test]
+fn profile_of_adversarial_ledger_matches_snapshot() {
+    let want = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/snapshots/profile_ledger_adversarial_maxlhs2.txt"
+    ))
+    .expect("snapshot readable");
+    for threads in ["1", "8"] {
+        let (stdout, stderr, ok) = deptree(&[
+            "profile",
+            "tests/snapshots/ledger_adversarial.csv",
+            "--types",
+            "c,c,c,n,n,n",
+            "--max-lhs",
+            "2",
+            "--threads",
+            threads,
+        ]);
+        assert!(ok, "{stderr}");
+        assert_eq!(stdout, want, "--threads {threads}");
+    }
+}
+
 #[test]
 fn detect_reports_paper_violations() {
     let (stdout, _, ok) = deptree(&[

@@ -10,12 +10,12 @@
 mod common;
 
 use deptree::core::engine::{Budget, Exec};
-use deptree::core::{Dependency, Direction, Fd, Md, Ned, NedAtom, Od};
-use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
+use deptree::core::{CmpOp, Dependency, Direction, Fd, Md, Ned, NedAtom, Od, Operand, Predicate};
+use deptree::discovery::{cover, dc, dd, fastfd, md, ned, od, tane};
 use deptree::metrics::Metric;
 use deptree::quality::dedup;
 use deptree::relation::examples::{hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::{AttrSet, Relation, RelationBuilder, StrippedPartition, ValueType};
+use deptree::relation::{AttrSet, Relation, RelationBuilder, StrippedPartition, Value, ValueType};
 use deptree::synth::{categorical, entities, CategoricalConfig, EntitiesConfig};
 use deptree_reference as reference;
 
@@ -524,6 +524,9 @@ fn ned_discovery_deterministic_across_threads() {
 /// and the empty cell is null, below every number.
 const OD_CELLS: [&str; 7] = ["0", "-0.0", "2", "2.0", "3", "NaN", ""];
 
+/// [`OD_CELLS`] plus a string, which a numeric column keeps as text.
+const DC_CELLS: [&str; 8] = ["0", "-0.0", "2", "2.0", "3", "NaN", "", "x2"];
+
 /// A relation of numeric columns built from cell texts through
 /// `push_row_texts`, the CSV parser's path.
 fn numeric_texts(columns: &[&[&str]]) -> Relation {
@@ -679,6 +682,26 @@ fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
             dup.build().expect("two cells per row"),
         ),
     ];
+    // `Int(2)` and `Float(2.0)` hold different codes but are equal under
+    // `numeric_cmp`, on categorical columns too; `Str("2")` is neither.
+    let mut two = RelationBuilder::new()
+        .attr("c", ValueType::Categorical)
+        .attr("n", ValueType::Numeric);
+    for (c, n) in [
+        (Value::int(2), Value::float(2.0)),
+        (Value::float(2.0), Value::int(2)),
+        (Value::int(3), Value::Null),
+        (Value::Null, Value::float(-0.0)),
+        (Value::str("2"), Value::int(0)),
+        (Value::Null, Value::float(f64::NAN)),
+        (Value::int(2), Value::Null),
+    ] {
+        two = two.row(vec![c, n]);
+    }
+    cases.push((
+        "categorical Int(2) / Float(2.0)".to_string(),
+        two.build().expect("two cells per row"),
+    ));
     let mut rng = deptree::synth::rng(0xDCDC);
     for case in 0..12 {
         cases.push((
@@ -686,30 +709,140 @@ fn dc_blocked_evidence_matches_naive_at_all_thread_counts() {
             common::numeric_relation(&mut rng),
         ));
     }
+    for case in 0..60 {
+        let n_rows = rng.random_range(1..=9usize);
+        let columns: Vec<Vec<&str>> = (0..rng.random_range(1..=3usize))
+            .map(|_| {
+                (0..n_rows)
+                    .map(|_| DC_CELLS[rng.random_range(0..DC_CELLS.len())])
+                    .collect()
+            })
+            .collect();
+        let columns: Vec<&[&str]> = columns.iter().map(Vec::as_slice).collect();
+        cases.push((
+            format!("mixed-cell case {case} {columns:?}"),
+            numeric_texts(&columns),
+        ));
+    }
+    for case in 0..40 {
+        cases.push((
+            format!("arbitrary case {case}"),
+            common::arbitrary_relation(&mut rng),
+        ));
+    }
     for (label, r) in &cases {
-        let preds = dc::predicate_space(r);
-        let mut nstats = dc::FastDcStats::default();
-        let want = reference::dc::evidence_sets(r, &preds, &mut nstats);
-        let mut gstats = dc::FastDcStats::default();
-        let grouped = reference::dc::evidence_sets_grouped(r, &preds, &mut gstats);
-        assert_eq!(grouped, want, "{label}: grouped reference evidence");
-        assert_eq!(gstats.pairs_evaluated, nstats.pairs_evaluated, "{label}");
-        for threads in PAIR_THREADS {
-            let mut stats = dc::FastDcStats::default();
-            let (got, complete) = dc::evidence_sets_blocked(
-                r,
-                &preds,
-                &mut stats,
-                &Exec::unbounded().with_threads(threads),
-            );
-            assert!(complete, "{label}: unbounded run must complete");
+        let mut pred_lists = vec![dc::predicate_space(r)];
+        if let [a, .., b] = r.schema().ids().collect::<Vec<_>>()[..] {
+            // Shapes `predicate_space` never builds: constants, crossed
+            // attributes, swapped tuples and a repeated predicate.
+            pred_lists.push(vec![
+                Predicate::first_const(a, CmpOp::Leq, 2),
+                Predicate::across(a, CmpOp::Lt, b),
+                Predicate::new(Operand::Second(b), CmpOp::Geq, Operand::First(b)),
+                Predicate::across(b, CmpOp::Eq, b),
+                Predicate::across(b, CmpOp::Eq, b),
+                Predicate::new(Operand::First(a), CmpOp::Neq, Operand::Const(Value::Null)),
+            ]);
+        }
+        for preds in &pred_lists {
+            check_blocked_evidence(label, r, preds);
+        }
+    }
+}
+
+/// The blocked builder's evidence map and pair count equal the per-pair
+/// reference scan's at every thread count.
+fn check_blocked_evidence(label: &str, r: &Relation, preds: &[Predicate]) {
+    let mut nstats = dc::FastDcStats::default();
+    let want = reference::dc::evidence_sets(r, preds, &mut nstats);
+    let mut gstats = dc::FastDcStats::default();
+    let grouped = reference::dc::evidence_sets_grouped(r, preds, &mut gstats);
+    assert_eq!(grouped, want, "{label}: grouped reference evidence");
+    assert_eq!(gstats.pairs_evaluated, nstats.pairs_evaluated, "{label}");
+    for threads in PAIR_THREADS {
+        let mut stats = dc::FastDcStats::default();
+        let (got, complete) = dc::evidence_sets_blocked(
+            r,
+            preds,
+            &mut stats,
+            &Exec::unbounded().with_threads(threads),
+        );
+        assert!(complete, "{label}: unbounded run must complete");
+        assert_eq!(
+            got, want,
+            "{label}: blocked evidence at {threads} thread(s)"
+        );
+        assert_eq!(
+            stats.pairs_evaluated, nstats.pairs_evaluated,
+            "{label}: multiplicity accounting at {threads} thread(s)"
+        );
+    }
+}
+
+/// How many distinct inclusion-minimal members `family` has.
+fn minimal_members(family: &[u64]) -> usize {
+    let mut sets = family.to_vec();
+    sets.sort_unstable();
+    sets.dedup();
+    sets.iter()
+        .filter(|&&s| !sets.iter().any(|&m| m != s && m & !s == 0))
+        .count()
+}
+
+#[test]
+fn cover_search_matches_reference_dfs() {
+    let mut families: Vec<(String, Vec<u64>, usize)> = vec![
+        ("empty family".to_string(), vec![], 5),
+        ("empty member".to_string(), vec![0b101, 0, 0b11], 3),
+        (
+            "duplicates".to_string(),
+            vec![0b0110, 0b0011, 0b0110, 0b1001, 0b0011, 0b1001],
+            4,
+        ),
+        (
+            "all 84 triples of 9 elements".to_string(),
+            (0u64..1 << 9).filter(|s| s.count_ones() == 3).collect(),
+            9,
+        ),
+    ];
+    let mut rng = deptree::synth::rng(0xC0E5);
+    for case in 0..120 {
+        let universe = rng.random_range(3..=24usize);
+        // Dense members over wide universes keep the full search small
+        // enough for the reference's per-node family scans.
+        let density = if universe <= 10 {
+            rng.random_range(0.2..0.9f64)
+        } else {
+            rng.random_range(0.7..0.95f64)
+        };
+        let mut family: Vec<u64> = (0..rng.random_range(0..=200usize))
+            .map(|_| {
+                (0..universe)
+                    .filter(|_| rng.random_bool(density))
+                    .fold(0u64, |s, b| s | 1 << b)
+            })
+            .collect();
+        if case % 4 == 0 && !family.is_empty() {
+            family.extend_from_within(..family.len() / 2);
+        }
+        families.push((format!("random case {case}"), family, universe));
+    }
+    assert!(families.iter().any(|(_, f, _)| minimal_members(f) > 64));
+    for (label, family, universe) in &families {
+        for max_nodes in [None, Some(1), Some(7), Some(50), Some(500)] {
+            let budget = match max_nodes {
+                Some(n) => Budget::new().with_max_nodes(n),
+                None => Budget::new(),
+            };
+            let (exec, reference_exec) = (Exec::new(budget.clone()), Exec::new(budget));
+            let got = cover::minimal_hitting_sets_bounded(family, *universe, &exec);
+            let want =
+                reference::cover::minimal_hitting_sets_bounded(family, *universe, &reference_exec);
+            assert_eq!(got, want, "{label}, max nodes {max_nodes:?}: {family:?}");
             assert_eq!(
-                got, want,
-                "{label}: blocked evidence at {threads} thread(s)"
-            );
-            assert_eq!(
-                stats.pairs_evaluated, nstats.pairs_evaluated,
-                "{label}: multiplicity accounting at {threads} thread(s)"
+                exec.stats().nodes_visited,
+                reference_exec.stats().nodes_visited,
+                "{label}, max nodes {max_nodes:?}: nodes visited"
             );
         }
     }
