@@ -1,9 +1,9 @@
 //! Observability: a std-only metrics registry and span tracer.
 //!
-//! Four PRs of engine work left the system fast but silent: the partition
-//! cache counts hits nobody reads, the pool steals work nobody sees, and
-//! the serve daemon sheds load it never counts. This module is the one
-//! place all of that surfaces, under two hard constraints:
+//! Without it the engine is fast but silent: partition reads nobody
+//! counts, a pool stealing work nobody sees, and a serve daemon shedding
+//! load it never counts. This module is the one place all of that
+//! surfaces, under two hard constraints:
 //!
 //! * **No dependencies.** Counters, gauges and fixed-bucket histograms
 //!   are plain atomics; the Prometheus text exposition is hand-rendered.
@@ -397,7 +397,7 @@ fn escape_help(v: &str) -> String {
 }
 
 /// The process-wide registry. Everything in the workspace registers
-/// here, so one render covers engine, cache and server series alike.
+/// here, so one render covers engine and server series alike.
 pub fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(Registry::new)
@@ -413,22 +413,16 @@ fn kind_label(kind: BudgetKind) -> &'static str {
     }
 }
 
-/// Pre-registered handles for the engine-side series: partition-cache
-/// traffic, pool scheduling, pair-generation pruning and per-kind budget
-/// exhaustions. Resolved once via [`engine_metrics`]; all increments are
+/// Pre-registered handles for the engine-side series: TANE's partition
+/// reads and computations, pool scheduling, pair-generation pruning and
+/// per-kind budget exhaustions. Resolved once via [`engine_metrics`]; all increments are
 /// single relaxed atomic adds.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    /// Partition-cache lookups served from cache.
+    /// Partition reads TANE answered from the lattice levels it holds.
     pub cache_hits: Arc<Counter>,
-    /// Partition-cache lookups that had to compute.
+    /// Partitions TANE computed (`π_∅`, singletons and level products).
     pub cache_misses: Arc<Counter>,
-    /// Partitions evicted by the cache's LRU capacity enforcement.
-    pub cache_evictions: Arc<Counter>,
-    /// Bytes of partition state inserted into the cache.
-    pub cache_inserted_bytes: Arc<Counter>,
-    /// Bytes of partition state evicted from the cache.
-    pub cache_evicted_bytes: Arc<Counter>,
     /// Parallel batches dispatched through `pool::map`.
     pub pool_batches: Arc<Counter>,
     /// Items evaluated across all pool batches.
@@ -465,27 +459,12 @@ impl EngineMetrics {
         EngineMetrics {
             cache_hits: reg.counter(
                 "deptree_cache_hits_total",
-                "Partition-cache lookups served from cache.",
+                "Partition reads TANE answered from the lattice levels it holds.",
                 &[],
             ),
             cache_misses: reg.counter(
                 "deptree_cache_misses_total",
-                "Partition-cache lookups that computed a fresh partition.",
-                &[],
-            ),
-            cache_evictions: reg.counter(
-                "deptree_cache_evictions_total",
-                "Partitions evicted by the cache's LRU capacity enforcement.",
-                &[],
-            ),
-            cache_inserted_bytes: reg.counter(
-                "deptree_cache_inserted_bytes_total",
-                "Bytes of partition state inserted into the cache.",
-                &[],
-            ),
-            cache_evicted_bytes: reg.counter(
-                "deptree_cache_evicted_bytes_total",
-                "Bytes of partition state evicted from the cache.",
+                "Partitions TANE computed.",
                 &[],
             ),
             pool_batches: reg.counter(

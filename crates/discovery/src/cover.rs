@@ -27,7 +27,10 @@ pub fn minimal_hitting_sets(family: &[u64], universe: usize) -> Vec<u64> {
 /// Returns the covers found plus a completeness flag. Every returned set
 /// genuinely hits the whole family even when the search was cut short —
 /// an incomplete run can only *miss* covers (and therefore report sets
-/// that a missed smaller cover would have shadowed).
+/// that a missed smaller cover would have shadowed). The quadratic family
+/// reduction and antichain filter take no ticks but stop on a deadline or
+/// cancellation: the reduction then returns no covers, the filter the
+/// minimal ones it kept so far.
 pub fn minimal_hitting_sets_bounded(
     family: &[u64],
     universe: usize,
@@ -46,6 +49,9 @@ pub fn minimal_hitting_sets_bounded(
     sorted.sort_by_key(|s| (s.count_ones(), *s));
     sorted.dedup();
     for &s in &sorted {
+        if exec.interrupted() {
+            return (Vec::new(), false);
+        }
         // Keep s only if no already-kept set is a subset of it.
         if !minimal_family.iter().any(|&m| m & !s == 0) {
             minimal_family.push(s);
@@ -57,12 +63,17 @@ pub fn minimal_hitting_sets_bounded(
     }
     let search = HitSets::new(&minimal_family);
     let mut out: Vec<u64> = Vec::new();
-    let complete = search.dfs(0u64, &mut search.root_state(), &mut out, exec);
+    let mut complete = search.dfs(0u64, &mut search.root_state(), &mut out, exec);
     // The DFS can emit non-minimal sets via different branch orders;
-    // filter to the minimal antichain.
+    // filter to the minimal antichain. Sets come by size, so every set
+    // kept when a deadline stops the filter is already minimal.
     out.sort_by_key(|s| s.count_ones());
     let mut result: Vec<u64> = Vec::new();
     for s in out {
+        if exec.interrupted() {
+            complete = false;
+            break;
+        }
         if !result.iter().any(|&m| m & !s == 0) {
             result.push(s);
         }
@@ -237,6 +248,24 @@ mod tests {
     #[test]
     fn unhittable_family() {
         assert!(minimal_hitting_sets(&[0u64], 4).is_empty());
+    }
+
+    #[test]
+    fn a_cancelled_search_skips_the_quadratic_reduction() {
+        use deptree_core::engine::{Budget, CancelToken};
+        use std::time::{Duration, Instant};
+        // Every 9-element subset of 0..18: 48,620 pairwise-incomparable
+        // members, so reducing the family takes about 10⁹ subset tests.
+        let family: Vec<u64> = (0u64..1 << 18).filter(|s| s.count_ones() == 9).collect();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let exec = Exec::with_cancel(Budget::new(), cancel);
+        let start = Instant::now();
+        let (covers, complete) = minimal_hitting_sets_bounded(&family, 18, &exec);
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(500), "took {took:?}");
+        assert!(!complete);
+        assert!(covers.is_empty());
     }
 
     #[test]

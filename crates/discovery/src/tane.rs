@@ -4,18 +4,26 @@
 //!
 //! This implementation is the repo's flagship *parallel* lattice walk:
 //! each level's candidate nodes are evaluated concurrently on the
-//! work-stealing pool (`deptree_core::engine::pool`) against a shared
-//! [`PartitionCache`], with node/row budget *reserved* per batch so the
-//! emitted dependency set — including the anytime prefix under an
-//! exhausted budget — is bit-identical at every thread count (see
-//! `Exec::try_reserve_nodes`). Candidate verdicts are merged in canonical
-//! lattice order, and the final FD list is sorted, so output order never
-//! depends on scheduling.
+//! work-stealing pool (`deptree_core::engine::pool`), with node/row
+//! budget *reserved* per batch so the emitted dependency set — including
+//! the anytime prefix under an exhausted budget — is bit-identical at
+//! every thread count (see `Exec::try_reserve_nodes`). Candidate verdicts
+//! are merged in canonical lattice order, and the final FD list is
+//! sorted, so output order never depends on scheduling. The run owns the
+//! partitions it reads: `π_a` for every attribute, and the previous and
+//! the current lattice level, which pool workers only read.
 
 use deptree_core::engine::{obs, pool, Exec, Outcome};
 use deptree_core::Fd;
-use deptree_relation::{AttrSet, PartitionCache, Relation};
+use deptree_relation::{AttrSet, ProductScratch, Relation, StrippedPartition};
+use std::cell::RefCell;
 use std::collections::HashMap;
+
+thread_local! {
+    /// Per-thread product scratch: each pool worker reuses its own probe
+    /// buffers across every product it computes within a batch.
+    static SCRATCH: RefCell<ProductScratch> = RefCell::new(ProductScratch::new());
+}
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -46,10 +54,6 @@ pub struct TaneStats {
     pub partition_products: usize,
     /// FDs emitted.
     pub fds_found: usize,
-    /// Partition-cache hits over the whole run.
-    pub cache_hits: u64,
-    /// Partition-cache misses over the whole run.
-    pub cache_misses: u64,
 }
 
 /// The result of a TANE run.
@@ -68,63 +72,47 @@ pub fn discover(r: &Relation, cfg: &TaneConfig) -> TaneResult {
     discover_bounded(r, cfg, &Exec::unbounded()).result
 }
 
-/// Run TANE on `r` under `exec`'s budget, with `exec.threads()` workers
-/// and a run-private partition cache (capacity = the budget's
-/// partition-memory cap, when set).
+/// Run TANE on `r` under `exec`'s budget, with `exec.threads()` workers.
 ///
 /// Anytime contract: every FD in the result holds on `r` (with
 /// `g3 ≤ max_error` in approximate mode) even when the run was stopped
 /// early — FDs are only emitted after their partition check passes. What
 /// an exhausted run forfeits is *completeness*: unvisited lattice nodes
 /// may hide further (and, for FDs whose minimality pruning depended on
-/// them, smaller) dependencies. Under node/row budgets the anytime prefix
-/// is additionally *deterministic across thread counts*; deadline and
-/// memory budgets cut off at a timing-dependent point by nature.
+/// them, smaller) dependencies. Under node, row and memory budgets the
+/// anytime prefix is additionally *deterministic across thread counts*:
+/// each partition is charged to the memory budget in canonical order when
+/// it is stored and released when its level is dropped. Deadline and
+/// cancellation cut off at a timing-dependent point by nature.
 pub fn discover_bounded(r: &Relation, cfg: &TaneConfig, exec: &Exec) -> Outcome<TaneResult> {
-    let cache = match exec.budget().max_partition_bytes {
-        Some(cap) => PartitionCache::with_capacity_bytes(cap),
-        None => PartitionCache::new(),
-    };
-    discover_with_cache(r, cfg, exec, &cache)
-}
-
-/// [`discover_bounded`] against a caller-provided [`PartitionCache`],
-/// sharing interned partitions with other discovery runs over the same
-/// relation (the CLI's `profile` pipelines do this). The cache must only
-/// hold partitions of `r`.
-pub fn discover_with_cache(
-    r: &Relation,
-    cfg: &TaneConfig,
-    exec: &Exec,
-    cache: &PartitionCache,
-) -> Outcome<TaneResult> {
     let n_attrs = r.n_attrs();
+    let n_rows = r.n_rows() as u64;
     let all = r.all_attrs();
     let approx = cfg.max_error > 0.0;
     let threads = exec.threads();
     let mut stats = TaneStats::default();
     let mut fds = Vec::new();
-    let cache_hits0 = cache.hits();
-    let cache_misses0 = cache.misses();
-    let cache_evictions0 = cache.evictions();
-    let radix_products0 = cache.radix_products();
-    let hash_products0 = cache.hash_products();
+    // Partition reads answered from the held levels by the verdicts and
+    // the key pruning, and products by kernel.
+    let mut reads = 0u64;
+    let (mut radix_products, mut hash_products) = (0u64, 0u64);
 
-    // Materialize the base partitions (π_∅ is implicit in the cache).
+    // Level 0 is π_∅; π_a for every attribute is held all run long, as
+    // the level-1 nodes, the probe-table product's right factor and the
+    // approximate checks' right-hand side.
     let mut base_span = exec.span("tane.base_partitions");
     base_span.attr("attrs", n_attrs as u64);
+    let mut parts = Partitions::default();
+    let empty = StrippedPartition::identity(r.n_rows());
+    parts.store(AttrSet::empty(), empty.approx_bytes(), empty, exec);
     for a in r.schema().ids() {
-        let (p, delta) = cache.get_or_compute(r, AttrSet::single(a));
-        exec.free_partition(delta.evicted_bytes);
-        obs::engine_metrics()
-            .cache_inserted_bytes
-            .add(delta.inserted_bytes);
-        if delta.inserted_bytes > 0 {
-            exec.alloc_partition(delta.inserted_bytes);
-        }
-        exec.tick_rows(r.n_rows() as u64);
-        drop(p);
+        let p = StrippedPartition::from_column(r, a);
+        exec.alloc_partition(p.approx_bytes());
+        parts.singles.push(p);
+        exec.tick_rows(n_rows);
     }
+    // Level 0 becomes the previous level of level 1, the singletons.
+    parts.advance(exec);
     drop(base_span);
 
     // C+ candidate RHS sets per node.
@@ -136,9 +124,6 @@ pub fn discover_with_cache(
     for &x in &level {
         cplus.insert(x, all);
     }
-    // The previous level's node sets, releasable after the next one is
-    // generated (singletons are kept for approximate checks).
-    let mut prev_level: Vec<AttrSet> = Vec::new();
 
     // Levels up to max_lhs + 1 are evaluated: level d decides FDs with
     // |LHS| = d − 1.
@@ -172,14 +157,11 @@ pub fn discover_with_cache(
             }
             let mut valid = AttrSet::empty();
             for a in x.intersect(cx).iter() {
-                let lhs = x.remove(a);
-                let (px, _) = cache.get_or_compute(r, lhs);
+                let px = parts.get(x.remove(a));
                 let holds = if approx {
-                    let (pa, _) = cache.get_or_compute(r, AttrSet::single(a));
-                    px.g3_error(&pa) <= cfg.max_error
+                    px.g3_error(parts.get(AttrSet::single(a))) <= cfg.max_error
                 } else {
-                    let (pxa, _) = cache.get_or_compute(r, x);
-                    px.refines(&pxa)
+                    px.refines(parts.get(x))
                 };
                 if holds {
                     valid = valid.insert(a);
@@ -189,6 +171,7 @@ pub fn discover_with_cache(
         });
         for (&x, &(cx0, valid)) in batch.iter().zip(&verdicts) {
             stats.nodes_visited += 1;
+            reads += 2 * x.intersect(cx0).len() as u64;
             let mut cx = cx0;
             for a in x.intersect(cx0).iter() {
                 if valid.contains(a) {
@@ -218,7 +201,8 @@ pub fn discover_with_cache(
             }
             // Key pruning: if X is a (super)key, emit X → A for remaining
             // candidates outside X and stop expanding.
-            if !approx && cache.get_or_compute(r, x).0.error() == 0 {
+            reads += u64::from(!approx);
+            if !approx && parts.get(x).error() == 0 {
                 if x.len() <= cfg.max_lhs {
                     for a in cx.difference(x).iter() {
                         // TANE's minimality condition for key-derived FDs:
@@ -239,40 +223,50 @@ pub fn discover_with_cache(
             survivors.push(x);
         }
         level = survivors;
+        // The level before last parented this one; the next level's
+        // products read only this level and the singletons.
+        parts.advance(exec);
         if depth == last_depth {
             // The next level would never be evaluated: skip its products.
             break 'search;
         }
 
         // generate_next_level: the union list is assembled serially
-        // (cheap bitset algebra), the partition products are computed in
-        // parallel through the shared cache, and budget charges replay
-        // serially in canonical order so row/memory exhaustion cuts at the
-        // same union at every thread count.
+        // (cheap bitset algebra), the partition products `π_{U∖{a}} · π_a`
+        // (`a = max(U)`) are computed in parallel, and the products are
+        // stored and charged serially in canonical order so row/memory
+        // exhaustion cuts at the same union at every thread count.
         let unions = next_level(&level);
         let mut product_span = exec.span("tane.products");
         product_span.attr("level", depth as u64);
         product_span.attr("products", unions.len() as u64);
-        let deltas = pool::map(threads, &unions, |_, &u| {
+        let products = pool::map(threads, &unions, |_, &u| {
             if exec.interrupted() {
                 // Deadline/cancellation mid-generation: stop computing
                 // partition products; the serial replay below sees the
                 // sticky exhaustion on its first tick and winds down.
                 // (Deterministic budgets never abort here — see the
                 // compute_dependencies batch above.)
-                return deptree_relation::CacheDelta::default();
+                return None;
             }
-            cache.get_or_compute(r, u).1
+            let a = u.max()?;
+            let (left, single) = (parts.get(u.remove(a)), parts.get(AttrSet::single(a)));
+            let (p, radix) =
+                SCRATCH.with(|s| left.product_with_attr(r.col(a), &mut s.borrow_mut(), single));
+            Some((p.approx_bytes(), p, radix))
         });
+        for &(_, _, radix) in products.iter().flatten() {
+            if radix {
+                radix_products += 1;
+            } else {
+                hash_products += 1;
+            }
+        }
         let mut next: Vec<AttrSet> = Vec::with_capacity(unions.len());
-        let m = obs::engine_metrics();
-        for (&union, delta) in unions.iter().zip(&deltas) {
+        for (&union, product) in unions.iter().zip(products) {
             stats.partition_products += 1;
-            exec.free_partition(delta.evicted_bytes);
-            m.cache_evicted_bytes.add(delta.evicted_bytes);
-            m.cache_inserted_bytes.add(delta.inserted_bytes);
-            let live = exec.tick_rows(r.n_rows() as u64)
-                && (delta.inserted_bytes == 0 || exec.alloc_partition(delta.inserted_bytes));
+            let live = exec.tick_rows(n_rows)
+                && product.is_some_and(|(bytes, p, _)| parts.store(union, bytes, p, exec));
             cplus.entry(union).or_insert(all);
             next.push(union);
             if !live {
@@ -283,35 +277,75 @@ pub fn discover_with_cache(
             }
         }
         drop(product_span);
-
-        // Release partitions of the level before last — the next level no
-        // longer needs them as parents (keep singletons for approximate
-        // checks and cross-run sharing).
-        for &s in prev_level.iter().filter(|s| s.len() > 1) {
-            exec.free_partition(cache.remove(s));
-        }
-        prev_level = std::mem::take(&mut level);
         level = next;
         depth += 1;
     }
+    parts.release(exec);
 
     fds.sort_by_key(|fd| (fd.lhs().len(), fd.lhs(), fd.rhs()));
     stats.fds_found = fds.len();
-    stats.cache_hits = cache.hits().saturating_sub(cache_hits0);
-    stats.cache_misses = cache.misses().saturating_sub(cache_misses0);
-    // Publish the run's cache traffic to the global registry — the cache
-    // itself lives in `relation`, below the engine, so callers surface its
-    // counters.
+    // Hits: partition reads answered from the held levels (a product
+    // reads its left parent, and the probe-table one `π_a` too); misses:
+    // partitions computed (π_∅, the singletons and the products).
     let m = obs::engine_metrics();
-    m.cache_hits.add(stats.cache_hits);
-    m.cache_misses.add(stats.cache_misses);
-    m.cache_evictions
-        .add(cache.evictions().saturating_sub(cache_evictions0));
-    m.partition_product_radix
-        .add(cache.radix_products().saturating_sub(radix_products0));
-    m.partition_product_hash
-        .add(cache.hash_products().saturating_sub(hash_products0));
+    m.cache_hits.add(reads + radix_products + 2 * hash_products);
+    m.cache_misses
+        .add(1 + n_attrs as u64 + radix_products + hash_products);
+    m.partition_product_radix.add(radix_products);
+    m.partition_product_hash.add(hash_products);
     exec.finish(TaneResult { fds, stats })
+}
+
+/// The partitions a run holds, each charged to the run's partition-memory
+/// budget while held: `π_a` for every attribute, all run long, plus the
+/// previous and the current lattice level keyed by attribute set. Level 0
+/// is `{∅}`; the level-1 nodes are the singletons.
+#[derive(Default)]
+struct Partitions {
+    singles: Vec<StrippedPartition>,
+    prev: HashMap<AttrSet, StrippedPartition>,
+    cur: HashMap<AttrSet, StrippedPartition>,
+    /// Bytes charged for `prev` and for `cur`.
+    prev_bytes: u64,
+    cur_bytes: u64,
+}
+
+impl Partitions {
+    /// `π_x` for a singleton or a node of the previous or current level.
+    /// TANE only asks for those: every node's parents survived the level
+    /// before it.
+    fn get(&self, x: AttrSet) -> &StrippedPartition {
+        match x.min() {
+            Some(a) if x.len() == 1 => &self.singles[a.0],
+            _ => self.cur.get(&x).unwrap_or_else(|| &self.prev[&x]),
+        }
+    }
+
+    /// Add `π_x`, whose estimate is `bytes`, to the current level and
+    /// charge it; false when the charge exceeds the memory budget.
+    fn store(&mut self, x: AttrSet, bytes: u64, p: StrippedPartition, exec: &Exec) -> bool {
+        self.cur.insert(x, p);
+        self.cur_bytes += bytes;
+        exec.alloc_partition(bytes)
+    }
+
+    /// Drop and release the previous level whole; the current level
+    /// becomes the previous one.
+    fn advance(&mut self, exec: &Exec) {
+        exec.free_partition(self.prev_bytes);
+        self.prev = std::mem::take(&mut self.cur);
+        self.prev_bytes = std::mem::take(&mut self.cur_bytes);
+    }
+
+    /// Release everything still held when the run ends.
+    fn release(self, exec: &Exec) {
+        let singles: u64 = self
+            .singles
+            .iter()
+            .map(StrippedPartition::approx_bytes)
+            .sum();
+        exec.free_partition(singles + self.prev_bytes + self.cur_bytes);
+    }
 }
 
 /// TANE's candidate generation: join the nodes of `level` (all of one
@@ -503,10 +537,7 @@ mod tests {
         let exec = Exec::new(Budget::new().with_max_partition_bytes(1));
         let out = discover_bounded(&r, &TaneConfig::default(), &exec);
         assert!(!out.complete);
-        assert!(matches!(
-            out.exhausted,
-            Some(BudgetKind::Memory | BudgetKind::Rows)
-        ));
+        assert_eq!(out.exhausted, Some(BudgetKind::Memory));
         for fd in &out.result.fds {
             assert!(fd.holds(&r));
         }
@@ -551,20 +582,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn shared_cache_reuses_partitions_across_runs() {
-        let r = hotels_r5();
-        let cache = PartitionCache::new();
-        let first = discover_with_cache(&r, &TaneConfig::default(), &Exec::unbounded(), &cache);
-        let warm = discover_with_cache(&r, &TaneConfig::default(), &Exec::unbounded(), &cache);
-        let names = |res: &TaneResult| res.fds.iter().map(|f| f.to_string()).collect::<Vec<_>>();
-        assert_eq!(names(&first.result), names(&warm.result));
-        // The warm run found every partition it asked for in the cache...
-        // except the intermediates the first run released level-by-level.
-        assert!(warm.result.stats.cache_hits > 0);
-        assert!(warm.result.stats.cache_misses <= first.result.stats.cache_misses);
     }
 
     /// The all-pairs join `next_level` replaced: every pair `i < j` of the
@@ -628,23 +645,20 @@ mod tests {
         let twice: Vec<usize> = (0..data.relation.n_rows()).flat_map(|i| [i, i]).collect();
         let r = data.relation.select_rows(&twice);
         assert!(r.n_attrs() >= 4);
-        let cache = PartitionCache::new();
         let cfg = TaneConfig {
             max_lhs: 1,
             max_error: 0.0,
         };
-        let out = discover_with_cache(&r, &cfg, &Exec::unbounded(), &cache);
+        let out = discover_bounded(&r, &cfg, &Exec::unbounded());
         assert!(out.complete);
         for a in r.schema().ids() {
-            let (p, _) = cache.get_or_compute(&r, AttrSet::single(a));
+            let p = StrippedPartition::from_column(&r, a);
             assert!(p.error() > 0, "attribute {a:?} is a key");
         }
-        let triples = (0..1u64 << r.n_attrs())
-            .map(AttrSet::from_bits)
-            .filter(|x| x.len() == 3);
-        for x in triples {
-            assert!(cache.get(x).is_none(), "3-attribute partition {x:?} cached");
-        }
+        // Every pair of attributes is a level-2 node; no triple is built.
+        let pairs = r.n_attrs() * (r.n_attrs() - 1) / 2;
+        assert_eq!(out.result.stats.nodes_visited, r.n_attrs() + pairs);
+        assert_eq!(out.result.stats.partition_products, pairs);
     }
 
     #[test]

@@ -649,8 +649,8 @@ fn push_kernel(
 
 /// Radix partition product (counting over dense codes, no right-parent
 /// materialization) vs the memoized probe-table product over pre-built
-/// parent partitions — the pre-kernel cache path with the parent build already
-/// paid.
+/// parent partitions — the pre-kernel product path with the parent build
+/// already paid.
 fn bench_kernel_product(rel: &Relation, obj: &mut String) -> f64 {
     let a = attr(rel, "pa");
     let b = attr(rel, "pb");

@@ -11,7 +11,7 @@
 //!
 //! | module | reference for |
 //! |---|---|
-//! | [`relation`] | `Relation::{group_by, distinct_count, sorted_rows}`, `StrippedPartition::{from_column, from_attrs}`, `PartitionCache` products |
+//! | [`relation`] | `Relation::{group_by, distinct_count, sorted_rows}`, `StrippedPartition::{from_column, from_attrs, product_with_attr}` (TANE's level products) |
 //! | [`fd`] | `Fd::{violations, g3}`, `Nud::{max_fanout, violations}`, `Pfd::probability`, `quality::repair::repair_fds` |
 //! | [`pairgen`] | `PairIndex::build_attr` |
 //! | [`od`] | the sorted single-atom check inside `Od::holds` |

@@ -58,8 +58,8 @@ pub fn column_partition(col: &[Value]) -> Vec<Vec<usize>> {
 }
 
 /// Reference for `StrippedPartition::from_attrs(..).classes()` and for the
-/// partitions `PartitionCache` computes by products: the stripped classes
-/// of [`group_by`], in canonical order.
+/// partitions TANE computes level by level as products: the stripped
+/// classes of [`group_by`], in canonical order.
 pub fn partition(r: &Relation, attrs: AttrSet) -> Vec<Vec<usize>> {
     stripped(group_by(r, attrs).into_values())
 }

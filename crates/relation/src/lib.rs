@@ -14,9 +14,6 @@
 //!   operation, the core data structure of partition-based discovery, and
 //!   the [`Splitter`] that splits one partition's classes by another's,
 //!   the core of violation detection and repair;
-//! * [`PartitionCache`] — a sharded, memoized, LRU-bounded interner of
-//!   stripped partitions shared across lattice levels, dependency classes
-//!   and worker threads;
 //! * [`examples`] — the running example instances of the survey (Tables 1,
 //!   5, 6 and 7), reproduced verbatim so that every worked computation in
 //!   the paper can be checked as a unit test.
@@ -25,7 +22,6 @@
 #![warn(rust_2018_idioms)]
 
 mod attrset;
-mod cache;
 pub mod column;
 mod csv;
 pub mod examples;
@@ -36,7 +32,6 @@ mod schema;
 mod value;
 
 pub use attrset::AttrSet;
-pub use cache::{CacheDelta, PartitionCache};
 pub use column::{Column, ColumnIndex};
 pub use csv::{parse_csv, parse_csv_lossy, to_csv, CsvError, LossyCsv, ParseIssue};
 pub use partition::{ProductScratch, Splitter, StrippedPartition, SubGroup};

@@ -10,7 +10,6 @@
 
 use crate::attrset::AttrSet;
 use crate::relation::Relation;
-use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// A stripped partition of the rows of a relation.
@@ -51,8 +50,10 @@ impl StrippedPartition {
     /// One counting sort over the combined dictionary code when the
     /// dictionaries' product is narrow enough; otherwise the column
     /// product chain `π_{a₀} · π_{a₁} · …` in increasing attribute order,
-    /// the same products [`crate::PartitionCache`] runs, on scratch freed
-    /// when the call returns.
+    /// on the kernels TANE's level products run
+    /// ([`StrippedPartition::product_with_attr`]), with scratch freed when
+    /// the call returns. `π_a` is built only for a product the radix
+    /// kernel declines.
     pub fn from_attrs(rel: &Relation, attrs: AttrSet) -> Self {
         let mut ids = attrs.iter();
         let Some(first) = ids.next() else {
@@ -63,8 +64,8 @@ impl StrippedPartition {
         }
         let mut scratch = ProductScratch::new();
         ids.fold(Self::from_column(rel, first), |left, a| {
-            left.product_with_attr(rel.col(a), &mut scratch, || Self::from_column(rel, a))
-                .0
+            left.product_with_column(rel.col(a), &mut scratch)
+                .unwrap_or_else(|| left.product_with(&Self::from_column(rel, a), &mut scratch))
         })
     }
 
@@ -301,20 +302,20 @@ impl StrippedPartition {
     }
 
     /// `π_self · π_a` by the first kernel that takes it: the radix product
-    /// on `a`'s code vector ([`StrippedPartition::product_with_column`]),
+    /// on `a`'s code vector `col` ([`StrippedPartition::product_with_column`]),
     /// or — when `a`'s dictionary is too wide for that — the probe-table
-    /// product ([`StrippedPartition::product_with`]) against `π_a`, which
-    /// `single` supplies only then. The flag is true when the radix kernel
-    /// ran. Both kernels give byte-identical partitions.
-    pub(crate) fn product_with_attr<P: Borrow<StrippedPartition>>(
+    /// product ([`StrippedPartition::product_with`]) against
+    /// `single = π_a`. The flag is true when the radix kernel ran. Both
+    /// kernels give byte-identical partitions.
+    pub fn product_with_attr(
         &self,
         col: &crate::Column,
         scratch: &mut ProductScratch,
-        single: impl FnOnce() -> P,
+        single: &StrippedPartition,
     ) -> (StrippedPartition, bool) {
         match self.product_with_column(col, scratch) {
             Some(p) => (p, true),
-            None => (self.product_with(single().borrow(), scratch), false),
+            None => (self.product_with(single, scratch), false),
         }
     }
 
@@ -588,10 +589,10 @@ impl Splitter {
 
 /// Reusable scratch buffers for [`StrippedPartition::product_with`].
 ///
-/// One scratch per thread of execution: the parallel lattice executors
-/// give each pool worker its own (see `PartitionCache`), and serial
-/// callers keep one per run. Memory grows to the largest product computed
-/// and is then recycled for every subsequent call.
+/// One scratch per thread of execution: TANE gives each pool worker a
+/// thread-local one, and serial callers keep one per run. Memory grows to
+/// the largest product computed and is then recycled for every subsequent
+/// call.
 #[derive(Debug, Default)]
 pub struct ProductScratch {
     /// Row → other-partition class label (`u32::MAX` = unlabelled).
@@ -786,6 +787,36 @@ mod tests {
             id.product_with_column(r.col(s.id("a")), &mut scratch),
             Some(pa)
         );
+    }
+
+    #[test]
+    fn product_with_attr_falls_back_past_the_radix_gate() {
+        let r = rel();
+        let (a, c) = (r.schema().id("a"), r.schema().id("c"));
+        let pa = StrippedPartition::from_column(&r, a);
+        let pc = StrippedPartition::from_column(&r, c);
+        let ac = AttrSet::from_ids([a, c]);
+        let mut scratch = ProductScratch::new();
+        let (p, radix) = pa.product_with_attr(r.col(c), &mut scratch, &pc);
+        assert!(radix, "tiny dictionaries take the radix kernel");
+        assert_eq!(p, StrippedPartition::from_attrs(&r, ac));
+        // Orphaned dictionary entries widen `c` past both radix gates
+        // (the product's `4·covered + 1024` and from_attrs' `4·n + 4096`)
+        // without changing a single cell.
+        let mut wide = rel();
+        let kept = wide.value(0, c).clone();
+        for i in 0..5000 {
+            wide.set_value(0, c, crate::Value::Str(format!("orphan {i}")));
+        }
+        wide.set_value(0, c, kept);
+        assert_eq!(wide, r, "orphans leave the cells untouched");
+        let (q, radix) = pa.product_with_attr(wide.col(c), &mut scratch, &pc);
+        assert!(
+            !radix,
+            "a dictionary past the radix gates takes the probe table"
+        );
+        assert_eq!(q, p);
+        assert_eq!(q, StrippedPartition::from_attrs(&wide, ac));
     }
 
     #[test]

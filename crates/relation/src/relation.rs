@@ -256,7 +256,9 @@ impl Relation {
 
     /// Number of distinct value combinations on `attrs`
     /// (`|dom(X)|_r` in the survey's SFD strength measure): the class
-    /// count `n − Σ(|c| − 1)` of the stripped partition `π_X`.
+    /// count `n − Σ(|c| − 1)` of the stripped partition `π_X` that
+    /// [`StrippedPartition::from_attrs`] builds (one counting sort, or the
+    /// column product chain TANE's levels run), freed on return.
     pub fn distinct_count(&self, attrs: AttrSet) -> usize {
         StrippedPartition::from_attrs(self, attrs).num_classes()
     }

@@ -59,7 +59,10 @@
 #  11. rolling-restart smoke — boot a three-worker gateway, keep a
 #      continuous `deptree query` loop running, trigger
 #      `deptree query reload`, and require zero dropped requests while
-#      every worker restarts exactly once.
+#      every worker restarts exactly once;
+#  12. dependency policy — `cargo tree -p deptree -e normal --offline`
+#      must not list the dev-only `deptree-reference` crate: oracles and
+#      baselines never ship.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -147,8 +150,9 @@ if ! diff "$repair_dir/served.csv" "$repair_dir/cli.csv" ||
     echo "repaired CSV drifted from the CLI or the recorded snapshot"
     exit 1
 fi
-# A discover round trip moves the engine counters (partition-cache
-# hits/misses), so the scrape below checks real numbers, not zeros.
+# A discover round trip moves the engine counters (TANE's partition
+# reads and computations), so the scrape below checks real numbers, not
+# zeros.
 # Its reply is also the columnar regression gate: byte-identical to the
 # reply recorded before the columnar relation core landed.
 discover_reply="$(target/release/deptree query discover --addr "$addr" \
@@ -345,5 +349,13 @@ done
 
 kill -TERM "$gw2_pid"
 wait "$gw2_pid"   # set -e: a fleet that does not drain to 0 fails the gate
+
+echo "== dependency policy (shipped crates never depend on deptree-reference) =="
+shipped_tree="$(cargo tree -p deptree -e normal --offline)"
+if grep -qF deptree-reference <<<"$shipped_tree"; then
+    echo "a shipped crate depends on the dev-only deptree-reference crate:"
+    echo "$shipped_tree"
+    exit 1
+fi
 
 echo "ci: all green"

@@ -4,7 +4,7 @@
 //!
 //! * **Kernel level.** Every kernel that has a row-major twin — grouping,
 //!   distinct counting and sorting, stripped partitions (direct and via
-//!   the partition cache's radix / probe-table products), candidate-pair
+//!   TANE's radix / probe-table level products), candidate-pair
 //!   indexes, the sorted order-dependency check, and the split-kernel FD
 //!   checks (violations, g3, repair, NUD fan-out, PFD probability) — must
 //!   equal its `deptree_reference` counterpart on *every* attribute subset
@@ -30,13 +30,14 @@ use deptree::quality::repair;
 use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
 use deptree::relation::pairgen::{PairIndex, PairSpec};
 use deptree::relation::{
-    parse_csv_lossy, to_csv, AttrId, AttrSet, PartitionCache, Relation, StrippedPartition, Value,
+    parse_csv_lossy, to_csv, AttrId, AttrSet, ProductScratch, Relation, StrippedPartition, Value,
     ValueType,
 };
 use deptree::serve::tasks::{self, ProfileOpts};
 use deptree::synth::fault::FaultPlan;
 use deptree::synth::{categorical, CategoricalConfig};
 use deptree_reference as reference;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -391,7 +392,7 @@ fn deadline_partials_are_sound() {
 
 /// Orphaned dictionary entries churned through the last column by
 /// [`mutated`]: more than both radix gates admit on the corpus's row
-/// counts (`4·covered + 1024` for the cache's column product,
+/// counts (`4·covered + 1024` for the column product TANE's levels run,
 /// `4·n + 4096` for direct grouping), so the hash fallbacks run too.
 const ORPHANS: usize = 5000;
 
@@ -494,7 +495,10 @@ fn partition_kernels_match_reference_on_every_attribute_subset() {
                 "{label}: from_column {a:?}"
             );
         }
-        let cache = PartitionCache::new();
+        // TANE's chain: π_X = π_{X∖{a}} · π_a with a = max(X), every
+        // `X∖{a}` built the same way first (subsets come in mask order).
+        let mut chain: HashMap<AttrSet, StrippedPartition> = HashMap::new();
+        let mut scratch = ProductScratch::new();
         for set in all_subsets(&r) {
             let want = reference::relation::partition(&r, set);
             let direct = StrippedPartition::from_attrs(&r, set);
@@ -504,14 +508,26 @@ fn partition_kernels_match_reference_on_every_attribute_subset() {
                 "{label}: from_attrs {set:?} rows"
             );
             assert_eq!(direct.classes(), &want[..], "{label}: from_attrs {set:?}");
-            let (cached, _) = cache.get_or_compute(&r, set);
-            assert_eq!(cached.classes(), &want[..], "{label}: cached {set:?}");
+            let product = match set.max() {
+                Some(a) if set.len() >= 2 => {
+                    let single = StrippedPartition::from_column(&r, a);
+                    let (p, took_radix) =
+                        chain[&set.remove(a)].product_with_attr(r.col(a), &mut scratch, &single);
+                    if took_radix {
+                        radix += 1;
+                    } else {
+                        hash += 1;
+                    }
+                    p
+                }
+                _ => direct,
+            };
+            assert_eq!(product.classes(), &want[..], "{label}: product {set:?}");
+            chain.insert(set, product);
         }
-        radix += cache.radix_products();
-        hash += cache.hash_products();
     }
-    assert!(radix > 0, "no cache product took the radix kernel");
-    assert!(hash > 0, "no cache product took the probe-table fallback");
+    assert!(radix > 0, "no level product took the radix kernel");
+    assert!(hash > 0, "no level product took the probe-table fallback");
 }
 
 #[test]

@@ -9,12 +9,13 @@
 //! 2. across thread counts 1, 2 and 8, which must agree bit-for-bit;
 //! 3. under tight node/row budgets, where the reservation scheme
 //!    guarantees the *anytime prefix* is also identical at every thread
-//!    count — and still sound.
+//!    count — and still sound — and, for TANE, under partition-memory
+//!    caps, which it charges in canonical order.
 //!
 //! Deadline budgets cut off at a timing-dependent point by design, so for
 //! those only soundness (not bit-equality) is asserted.
 
-use deptree::core::engine::{Budget, Exec};
+use deptree::core::engine::{Budget, BudgetKind, Exec};
 use deptree::core::Dependency;
 use deptree::discovery::{cfd, ecfd, fastfd, nud, pfd, tane};
 use deptree::relation::examples::{hotels_r1, hotels_r5, hotels_r6, hotels_r7};
@@ -172,6 +173,80 @@ fn tane_anytime_prefix_is_frozen_under_node_budget() {
             }
         }
     }
+}
+
+#[test]
+fn tane_memory_budget_cuts_identically_at_every_thread_count() {
+    // TANE charges each partition it stores, in canonical order, and
+    // releases a lattice level whole when it drops it, so a partition-
+    // memory cap stops the walk at the same stored partition at every
+    // thread count. Caps are fractions of the uncapped run's peak, so
+    // they cut the lattice at different levels.
+    let mut tables = vec![
+        ("r1".to_string(), hotels_r1()),
+        ("r5".to_string(), hotels_r5()),
+        ("r6".to_string(), hotels_r6()),
+        ("r7".to_string(), hotels_r7()),
+    ];
+    for seed in [3u64, 17, 42] {
+        let cfg = CategoricalConfig {
+            n_rows: 150,
+            n_key_attrs: 2,
+            n_dep_attrs: 3,
+            domain: 5,
+            error_rate: 0.05,
+            seed,
+        };
+        let r = categorical::generate(&cfg, &mut deptree::synth::rng(seed)).relation;
+        tables.push((format!("synthetic {seed}"), r));
+    }
+    let cfg = tane::TaneConfig::default();
+    let mut most_cuts = 0;
+    for (label, r) in &tables {
+        let peak = tane::discover_bounded(r, &cfg, &exec(Budget::new(), 1))
+            .stats
+            .partition_bytes_peak;
+        // Where in the lattice each cap cut.
+        let mut visited_per_cap = Vec::new();
+        for cap in [1, peak / 4, peak / 2, peak * 3 / 4, peak - 1, peak] {
+            let runs: Vec<_> = THREADS
+                .iter()
+                .map(|&t| {
+                    let budget = Budget::new().with_max_partition_bytes(cap);
+                    let out = tane::discover_bounded(r, &cfg, &exec(budget, t));
+                    let fds: Vec<String> = out.result.fds.iter().map(|f| f.to_string()).collect();
+                    for fd in &out.result.fds {
+                        assert!(fd.holds(r), "{label}/{cap}: unsound FD {fd} at {t}");
+                    }
+                    let visited = out.result.stats.nodes_visited;
+                    (
+                        fds,
+                        visited,
+                        out.complete,
+                        out.exhausted,
+                        out.stats.partition_bytes_peak,
+                    )
+                })
+                .collect();
+            assert_eq!(runs[0], runs[1], "{label}/{cap}: 1 vs 2 threads");
+            assert_eq!(runs[0], runs[2], "{label}/{cap}: 1 vs 8 threads");
+            let (_, visited, complete, exhausted, _) = runs.into_iter().next().unwrap_or_default();
+            assert_eq!(complete, cap >= peak, "{label}/{cap}: completeness");
+            let memory = (!complete).then_some(BudgetKind::Memory);
+            assert_eq!(exhausted, memory, "{label}/{cap}: binding budget");
+            visited_per_cap.push(visited);
+        }
+        visited_per_cap.dedup();
+        assert!(
+            visited_per_cap.len() >= 2,
+            "{label}: no cap cut the lattice"
+        );
+        most_cuts = most_cuts.max(visited_per_cap.len());
+    }
+    assert!(
+        most_cuts >= 4,
+        "no table was cut at two levels inside its lattice"
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@ mod common;
 
 use common::{numeric_relation, small_relation, CASES};
 use deptree::core::*;
-use deptree::relation::{AttrId, AttrSet, Relation, StrippedPartition};
+use deptree::relation::{AttrId, AttrSet, ProductScratch, Relation, StrippedPartition};
 use deptree::synth::Rng;
 
 /// A random single-attr→single-attr FD for `r`.
@@ -24,6 +24,26 @@ fn fd_for(r: &Relation, lhs: usize, rhs: usize) -> Fd {
 
 fn cases(base: u64) -> impl Iterator<Item = (Rng, u64)> {
     (0..CASES).map(move |i| (Rng::seed_from_u64(base.wrapping_mul(1000) + i), i))
+}
+
+/// A random (possibly empty) attribute subset of `r`.
+fn random_set(rng: &mut Rng, r: &Relation) -> AttrSet {
+    AttrSet::from_bits(rng.random_range(0..(1u64 << r.n_attrs())))
+}
+
+/// `π_X` the way TANE builds its lattice levels: `π_{X∖{a}} · π_a` with
+/// `a = max(X)`, from the singletons up, each product on the kernel
+/// `product_with_attr` picks.
+fn level_chain(r: &Relation, set: AttrSet) -> StrippedPartition {
+    let mut ids = set.iter();
+    let Some(first) = ids.next() else {
+        return StrippedPartition::identity(r.n_rows());
+    };
+    let mut scratch = ProductScratch::new();
+    ids.fold(StrippedPartition::from_column(r, first), |left, a| {
+        let single = StrippedPartition::from_column(r, a);
+        left.product_with_attr(r.col(a), &mut scratch, &single).0
+    })
 }
 
 #[test]
@@ -325,154 +345,6 @@ mod numeric {
             );
             for rule in &result.dcs {
                 assert!(rule.holds(&r), "case {case}: {rule} fails");
-            }
-        }
-    }
-}
-
-/// [`PartitionCache`] invariants under random workloads: a hit is
-/// bit-identical to a fresh computation, the reported byte deltas account
-/// exactly for the resident estimate, and LRU eviction under capacity
-/// pressure is invisible to callers.
-mod partition_cache {
-    use super::*;
-    use deptree::relation::{CacheDelta, PartitionCache};
-
-    /// A random (possibly empty) attribute subset of `r`.
-    fn random_set(rng: &mut Rng, r: &Relation) -> AttrSet {
-        AttrSet::from_bits(rng.random_range(0..(1u64 << r.n_attrs())))
-    }
-
-    /// Every lookup — first (miss) and second (hit) — equals a fresh
-    /// from-scratch partition computation.
-    #[test]
-    fn hit_equals_fresh_computation() {
-        for (mut rng, case) in cases(20) {
-            let r = small_relation(&mut rng);
-            let cache = PartitionCache::new();
-            for _ in 0..12 {
-                let set = random_set(&mut rng, &r);
-                let fresh = StrippedPartition::from_attrs(&r, set);
-                let (miss, _) = cache.get_or_compute(&r, set);
-                assert_eq!(*miss, fresh, "case {case}: miss differs for {set:?}");
-                let (hit, d) = cache.get_or_compute(&r, set);
-                assert_eq!(*hit, fresh, "case {case}: hit differs for {set:?}");
-                assert_eq!(d, CacheDelta::default(), "case {case}: hit charged bytes");
-            }
-        }
-    }
-
-    /// Replaying every reported delta (inserted − evicted − removed)
-    /// reproduces `mem_estimate` exactly, and the running ledger never
-    /// goes negative — the accounting a miner charges to the engine's
-    /// memory budget is self-consistent at every step.
-    #[test]
-    fn delta_ledger_matches_mem_estimate() {
-        for (mut rng, case) in cases(21) {
-            let r = small_relation(&mut rng);
-            let cache = PartitionCache::new();
-            let mut ledger: i64 = 0;
-            for step in 0..40 {
-                let set = random_set(&mut rng, &r);
-                if rng.random_range(0..4u8) == 0 {
-                    ledger -= cache.remove(set) as i64;
-                } else {
-                    let (_, d) = cache.get_or_compute(&r, set);
-                    ledger += d.inserted_bytes as i64;
-                    ledger -= d.evicted_bytes as i64;
-                }
-                assert!(ledger >= 0, "case {case} step {step}: negative ledger");
-                assert_eq!(
-                    ledger as u64,
-                    cache.mem_estimate(),
-                    "case {case} step {step}: ledger drifted from mem_estimate"
-                );
-            }
-            ledger -= cache.clear() as i64;
-            assert_eq!(ledger, 0, "case {case}: clear() released a different total");
-            assert_eq!(cache.mem_estimate(), 0, "case {case}");
-        }
-    }
-
-    /// The same ledger law over adversarial *mutated* columnar relations:
-    /// random cell overwrites orphan dictionary entries and invalidate lazy
-    /// views, but the cache's byte accounting must stay exact and the
-    /// relation's own footprint estimate must stay monotone (mutation only
-    /// grows dictionaries; no lazy views were built to shrink).
-    #[test]
-    fn delta_ledger_holds_for_mutated_columnar_relations() {
-        use common::arbitrary_relation;
-        use deptree::relation::Value;
-        for (mut rng, case) in cases(23) {
-            let mut r = arbitrary_relation(&mut rng);
-            if r.n_rows() == 0 {
-                continue;
-            }
-            let before = r.approx_bytes();
-            for _ in 0..6 {
-                let row = rng.random_range(0..r.n_rows());
-                let attr = AttrId(rng.random_range(0..r.n_attrs()));
-                let v = match rng.random_range(0..3u8) {
-                    0 => Value::Null,
-                    1 => Value::int(rng.random_range(-3..3i64)),
-                    _ => Value::str(format!("m{}", rng.random_range(0..3u8))),
-                };
-                r.set_value(row, attr, v);
-            }
-            r.debug_validate();
-            assert!(
-                r.approx_bytes() >= before,
-                "case {case}: mutation shrank the footprint estimate"
-            );
-            let cache = PartitionCache::new();
-            let mut ledger: i64 = 0;
-            for step in 0..40 {
-                let set = random_set(&mut rng, &r);
-                if rng.random_range(0..4u8) == 0 {
-                    ledger -= cache.remove(set) as i64;
-                } else {
-                    let (p, d) = cache.get_or_compute(&r, set);
-                    assert_eq!(
-                        *p,
-                        StrippedPartition::from_attrs(&r, set),
-                        "case {case} step {step}: cached partition differs from fresh"
-                    );
-                    ledger += d.inserted_bytes as i64;
-                    ledger -= d.evicted_bytes as i64;
-                }
-                assert!(ledger >= 0, "case {case} step {step}: negative ledger");
-                assert_eq!(
-                    ledger as u64,
-                    cache.mem_estimate(),
-                    "case {case} step {step}: ledger drifted from mem_estimate"
-                );
-            }
-            ledger -= cache.clear() as i64;
-            assert_eq!(ledger, 0, "case {case}: clear() released a different total");
-        }
-    }
-
-    /// A capacity-starved cache (constant eviction churn) returns the same
-    /// partition as an unbounded one and as a fresh computation, across a
-    /// long random access sequence.
-    #[test]
-    fn eviction_never_changes_results() {
-        for (mut rng, case) in cases(22) {
-            let r = small_relation(&mut rng);
-            // Tiny capacity: essentially every multi-attribute insert
-            // triggers eviction; singletons stay pinned.
-            let tight = PartitionCache::with_capacity_bytes(rng.random_range(1..256u64));
-            let roomy = PartitionCache::new();
-            for _ in 0..30 {
-                let set = random_set(&mut rng, &r);
-                let (a, _) = tight.get_or_compute(&r, set);
-                let (b, _) = roomy.get_or_compute(&r, set);
-                assert_eq!(*a, *b, "case {case}: eviction changed {set:?}");
-                assert_eq!(
-                    *a,
-                    StrippedPartition::from_attrs(&r, set),
-                    "case {case}: cached result differs from fresh for {set:?}"
-                );
             }
         }
     }
@@ -824,6 +696,53 @@ mod columnar {
         }
     }
 
+    /// Random cell overwrites orphan dictionary entries and invalidate lazy
+    /// views: the relation must stay valid, its footprint estimate must
+    /// not shrink (mutation only grows dictionaries; no lazy views were
+    /// built to shrink), and every partition — direct and by TANE's
+    /// product chain — must equal the one of a freshly encoded copy.
+    #[test]
+    fn mutated_relations_stay_valid_and_partition_like_fresh() {
+        for (mut rng, case) in cases(23) {
+            let mut r = arbitrary_relation(&mut rng);
+            if r.n_rows() == 0 {
+                continue;
+            }
+            let before = r.approx_bytes();
+            for _ in 0..6 {
+                let row = rng.random_range(0..r.n_rows());
+                let attr = AttrId(rng.random_range(0..r.n_attrs()));
+                let v = match rng.random_range(0..3u8) {
+                    0 => Value::Null,
+                    1 => Value::int(rng.random_range(-3..3i64)),
+                    _ => Value::str(format!("m{}", rng.random_range(0..3u8))),
+                };
+                r.set_value(row, attr, v);
+            }
+            r.debug_validate();
+            assert!(
+                r.approx_bytes() >= before,
+                "case {case}: mutation shrank the footprint estimate"
+            );
+            let all_rows: Vec<usize> = (0..r.n_rows()).collect();
+            let fresh = r.select_rows(&all_rows);
+            for step in 0..40 {
+                let set = random_set(&mut rng, &r);
+                let want = StrippedPartition::from_attrs(&fresh, set);
+                assert_eq!(
+                    StrippedPartition::from_attrs(&r, set),
+                    want,
+                    "case {case} step {step}: partition differs from the fresh copy's"
+                );
+                assert_eq!(
+                    level_chain(&r, set),
+                    want,
+                    "case {case} step {step}: product chain differs from the fresh copy's"
+                );
+            }
+        }
+    }
+
     /// When cells arrive in sorted order, first-appearance interning makes
     /// the code sequence non-decreasing and every code equal to its own
     /// structural rank — sorted input degenerates the dictionary into an
@@ -921,13 +840,12 @@ mod kernels {
     use super::*;
     use common::arbitrary_relation;
     use deptree::relation::pairgen::{band_pairs_sorted, PairIndex, PairSpec};
-    use deptree::relation::{PartitionCache, ProductScratch};
 
     /// The counting-sort (radix) partition product agrees with the
     /// hash-probe product and with a from-scratch computation on every
     /// attribute pair — including null classes and mixed-type columns from
-    /// the adversarial generator. The cache's strategy counters confirm
-    /// the radix path was actually exercised, not silently skipped.
+    /// the adversarial generator. A count of radix products confirms the
+    /// radix path was actually exercised, not silently skipped.
     #[test]
     fn radix_product_equals_hash_product() {
         let mut radix_taken = 0u64;
@@ -965,44 +883,20 @@ mod kernels {
         assert!(radix_taken > 0, "radix path never engaged on tiny domains");
     }
 
-    /// Under a byte budget tight enough to force evictions, the memoized
-    /// cache (radix product strategy inside) still returns partitions equal
-    /// to from-scratch computations, single-attribute partitions stay
-    /// pinned through eviction pressure, and the strategy counters account
-    /// for every multi-attribute product exactly once.
+    /// TANE's product chain equals a from-scratch partition on random
+    /// attribute subsets, whichever kernel each product takes.
     #[test]
-    fn budgeted_cache_products_equal_fresh_and_pin_singles() {
-        for (mut rng, case) in cases(61) {
+    fn product_chain_equals_fresh_computation() {
+        for (mut rng, case) in cases(20) {
             let r = small_relation(&mut rng);
-            let cache = PartitionCache::with_capacity_bytes(2048);
-            for a in r.schema().ids() {
-                cache.get_or_compute(&r, AttrSet::single(a));
-            }
-            let mut multi_misses = 0u64;
-            for _ in 0..20 {
-                let set = AttrSet::from_bits(rng.random_range(0..(1u64 << r.n_attrs())));
-                let misses_before = cache.misses();
-                let (got, _) = cache.get_or_compute(&r, set);
-                if set.iter().count() >= 2 {
-                    multi_misses += cache.misses() - misses_before;
-                }
+            for _ in 0..12 {
+                let set = random_set(&mut rng, &r);
                 assert_eq!(
-                    *got,
+                    level_chain(&r, set),
                     StrippedPartition::from_attrs(&r, set),
-                    "case {case}: cached product differs from fresh for {set:?}"
+                    "case {case}: product chain differs for {set:?}"
                 );
             }
-            for a in r.schema().ids() {
-                assert!(
-                    cache.get(AttrSet::single(a)).is_some(),
-                    "case {case}: pinned single {a:?} was evicted"
-                );
-            }
-            assert_eq!(
-                cache.radix_products() + cache.hash_products(),
-                multi_misses,
-                "case {case}: strategy counters drifted from multi-attr misses"
-            );
         }
     }
 
