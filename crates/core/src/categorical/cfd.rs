@@ -1,9 +1,9 @@
 //! Conditional functional dependencies (§2.5).
 
+use crate::categorical::fd::witnesses;
 use crate::categorical::Fd;
 use crate::dep::{DepKind, Dependency, Violation};
 use deptree_relation::{AttrId, AttrSet, Relation, Schema, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One cell of a CFD pattern tuple: a constant from the attribute's domain
@@ -190,73 +190,43 @@ impl Dependency for Cfd {
     }
 
     fn holds(&self, r: &Relation) -> bool {
-        let matching = self.matching_rows(r);
-        // Single-tuple (constant-RHS) checks.
-        for &row in &matching {
-            if !self.pattern.matches_on(r, row, self.rhs) {
-                return false;
-            }
-        }
-        // Pair checks within equal-X groups.
-        let mut groups: HashMap<Vec<Value>, usize> = HashMap::new();
-        for &row in &matching {
-            let key = r.project_row(row, self.lhs);
-            match groups.entry(key) {
-                std::collections::hash_map::Entry::Occupied(rep) => {
-                    if !r.rows_agree(*rep.get(), row, self.rhs) {
-                        return false;
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(row);
-                }
-            }
-        }
-        true
+        self.count_violations(r) == 0
     }
 
+    /// A row witness per matching row that misses `t_p[Y]`, then the FD
+    /// witnesses of the matching classes of `π_X`.
     fn violations(&self, r: &Relation) -> Vec<Violation> {
-        let matching = self.matching_rows(r);
-        let mut out = Vec::new();
-        // Constant-RHS single-tuple violations.
-        for &row in &matching {
-            if !self.pattern.matches_on(r, row, self.rhs) {
-                let bad: AttrSet = self
-                    .rhs
-                    .iter()
-                    .filter(|&a| !self.pattern.cell(a).matches(r.value(row, a)))
-                    .collect();
-                out.push(Violation::row(row, bad));
-            }
-        }
-        // Pairwise violations within equal-X groups.
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for &row in &matching {
-            groups
-                .entry(r.project_row(row, self.lhs))
-                .or_default()
-                .push(row);
-        }
-        for rows in groups.values() {
-            let mut reps: HashMap<Vec<Value>, usize> = HashMap::new();
-            for &row in rows {
-                let y = r.project_row(row, self.rhs);
-                reps.entry(y).or_insert(row);
-            }
-            if reps.len() > 1 {
-                let mut rs: Vec<usize> = reps.into_values().collect();
-                rs.sort_unstable();
-                for i in 0..rs.len() {
-                    for j in (i + 1)..rs.len() {
-                        out.push(Violation::pair(rs[i], rs[j], self.rhs));
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.rows.cmp(&b.rows));
-        out.dedup();
-        out
+        conditional_witnesses(
+            r,
+            self.lhs,
+            self.rhs,
+            |row| self.pattern.matches_on(r, row, self.lhs),
+            |row, a| self.pattern.cell(a).matches(r.value(row, a)),
+        )
     }
+}
+
+/// The witnesses of a conditional FD `(X → Y, t_p)`, shared by CFDs and
+/// eCFDs: a row witness, on the failing cells, for each row that matches
+/// `t_p[X]` (`lhs_ok`) but has a `Y`-cell `cell_ok` rejects; then the FD
+/// witnesses of the classes of `π_X` that match. Sorted by rows.
+pub(crate) fn conditional_witnesses(
+    r: &Relation,
+    lhs: AttrSet,
+    rhs: AttrSet,
+    lhs_ok: impl Fn(usize) -> bool,
+    cell_ok: impl Fn(usize, AttrId) -> bool,
+) -> Vec<Violation> {
+    let mut out: Vec<Violation> = (0..r.n_rows())
+        .filter(|&row| lhs_ok(row))
+        .filter_map(|row| {
+            let bad: AttrSet = rhs.iter().filter(|&a| !cell_ok(row, a)).collect();
+            (!bad.is_empty()).then(|| Violation::row(row, bad))
+        })
+        .collect();
+    out.extend(witnesses(r, lhs, rhs, &lhs_ok));
+    out.sort_by(|a, b| a.rows.cmp(&b.rows));
+    out
 }
 
 impl fmt::Display for Cfd {

@@ -1,10 +1,10 @@
 //! Extended conditional functional dependencies (§2.5.5).
 
+use crate::categorical::cfd::conditional_witnesses;
 use crate::categorical::{Cfd, PatternCell};
 use crate::dep::{DepKind, Dependency, Violation};
 use crate::op::CmpOp;
 use deptree_relation::{AttrId, AttrSet, Relation, Schema, Value};
-use std::collections::HashMap;
 use std::fmt;
 
 /// One cell of an eCFD pattern: the unnamed variable `_`, or `op a` where
@@ -158,46 +158,16 @@ impl Dependency for ECfd {
         self.count_violations(r) == 0
     }
 
+    /// A row witness per matching row that misses an RHS cell, then the
+    /// FD witnesses of the matching classes of `π_X`.
     fn violations(&self, r: &Relation) -> Vec<Violation> {
-        let matching = self.matching_rows(r);
-        let mut out = Vec::new();
-        // Single-tuple RHS-cell violations.
-        for &row in &matching {
-            if !self.matches_on(r, row, self.rhs) {
-                let bad: AttrSet = self
-                    .rhs
-                    .iter()
-                    .filter(|&a| !self.cell(a).matches(r.value(row, a)))
-                    .collect();
-                out.push(Violation::row(row, bad));
-            }
-        }
-        // Pairwise equality on RHS within equal-X groups.
-        let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for &row in &matching {
-            groups
-                .entry(r.project_row(row, self.lhs))
-                .or_default()
-                .push(row);
-        }
-        for rows in groups.values() {
-            let mut reps: HashMap<Vec<Value>, usize> = HashMap::new();
-            for &row in rows {
-                reps.entry(r.project_row(row, self.rhs)).or_insert(row);
-            }
-            if reps.len() > 1 {
-                let mut rs: Vec<usize> = reps.into_values().collect();
-                rs.sort_unstable();
-                for i in 0..rs.len() {
-                    for j in (i + 1)..rs.len() {
-                        out.push(Violation::pair(rs[i], rs[j], self.rhs));
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.rows.cmp(&b.rows));
-        out.dedup();
-        out
+        conditional_witnesses(
+            r,
+            self.lhs,
+            self.rhs,
+            |row| self.matches_on(r, row, self.lhs),
+            |row, a| self.cell(a).matches(r.value(row, a)),
+        )
     }
 }
 

@@ -113,20 +113,34 @@ impl Dependency for Fd {
     /// each sub-group's first row: every class of `π_X` is split by
     /// `π_{X∪Y}`, in canonical order.
     fn violations(&self, r: &Relation) -> Vec<Violation> {
-        let px = StrippedPartition::from_attrs(r, self.lhs);
-        let mut by_xy = StrippedPartition::from_attrs(r, self.lhs.union(self.rhs)).splitter();
-        let mut out = Vec::new();
-        for class in px.classes() {
-            let subs = by_xy.split(class);
-            for (i, a) in subs.iter().enumerate() {
-                for b in &subs[i + 1..] {
-                    out.push(Violation::pair(a.first, b.first, self.rhs));
-                }
+        witnesses(r, self.lhs, self.rhs, |_| true)
+    }
+}
+
+/// The FD witness loop, shared by FDs, CFDs and eCFDs: each class of `π_X`
+/// whose first row `keep` selects is split by `π_{X∪Y}`, and every pair of
+/// its `Y`-sub-groups gives one witness from their first rows. A pattern
+/// on `X` selects whole classes, since rows of one class have equal
+/// `X`-cells. Witnesses come sorted by rows.
+pub(crate) fn witnesses(
+    r: &Relation,
+    lhs: AttrSet,
+    rhs: AttrSet,
+    keep: impl Fn(usize) -> bool,
+) -> Vec<Violation> {
+    let px = StrippedPartition::from_attrs(r, lhs);
+    let mut by_xy = StrippedPartition::from_attrs(r, lhs.union(rhs)).splitter();
+    let mut out = Vec::new();
+    for class in px.classes().iter().filter(|c| keep(c[0])) {
+        let subs = by_xy.split(class);
+        for (i, a) in subs.iter().enumerate() {
+            for b in &subs[i + 1..] {
+                out.push(Violation::pair(a.first, b.first, rhs));
             }
         }
-        out.sort_by(|a, b| a.rows.cmp(&b.rows));
-        out
     }
+    out.sort_by(|a, b| a.rows.cmp(&b.rows));
+    out
 }
 
 impl fmt::Display for Fd {

@@ -2,8 +2,7 @@
 
 use crate::categorical::Mvd;
 use crate::dep::{DepKind, Dependency, Violation};
-use deptree_relation::{AttrSet, Relation, Schema, Value};
-use std::collections::HashSet;
+use deptree_relation::{AttrSet, Relation, Schema, Splitter, StrippedPartition};
 use std::fmt;
 
 /// A full hierarchical dependency `X : {Y₁, …, Yₖ}`: the relation
@@ -77,30 +76,30 @@ impl Fhd {
     }
 
     /// Spurious tuples introduced by the k-way decomposition join:
-    /// `Σ_groups (Π_i |Yᵢ_g| · |rest_g| − |tuples_g|)`. Zero iff the FHD
-    /// holds.
+    /// `Σ_groups (Π_i |Yᵢ_g| · |rest_g| − |tuples_g|)`, each count the
+    /// number of sub-groups a class of `π_X` splits into by `π_{X∪Yᵢ}`,
+    /// `π_{X∪rest}` and `π_R`. Zero iff the FHD holds.
     pub fn spurious_tuples(&self, r: &Relation) -> usize {
         let rest = self.rest(r);
-        let mut total = 0usize;
-        for rows in r.group_by(self.x).values() {
-            let mut join = 1usize;
-            for &y in &self.ys {
-                let distinct: HashSet<Vec<Value>> =
-                    rows.iter().map(|&row| r.project_row(row, y)).collect();
-                join = join.saturating_mul(distinct.len());
-            }
-            if !rest.is_empty() {
-                let distinct: HashSet<Vec<Value>> =
-                    rows.iter().map(|&row| r.project_row(row, rest)).collect();
-                join = join.saturating_mul(distinct.len());
-            }
-            let actual: HashSet<Vec<Value>> = rows
-                .iter()
-                .map(|&row| r.project_row(row, r.all_attrs()))
-                .collect();
-            total += join - actual.len();
-        }
-        total
+        let blocks = self
+            .ys
+            .iter()
+            .copied()
+            .chain((!rest.is_empty()).then_some(rest));
+        let mut by_block: Vec<Splitter> = blocks
+            .map(|b| StrippedPartition::from_attrs(r, self.x.union(b)).splitter())
+            .collect();
+        let mut by_tuple = StrippedPartition::from_attrs(r, r.all_attrs()).splitter();
+        let px = StrippedPartition::from_attrs(r, self.x);
+        px.classes()
+            .iter()
+            .map(|class| {
+                let join = by_block
+                    .iter_mut()
+                    .fold(1usize, |join, s| join.saturating_mul(s.split(class).len()));
+                join - by_tuple.split(class).len()
+            })
+            .sum()
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::categorical::Fd;
 use crate::dep::{DepKind, Dependency, Violation};
 use deptree_metrics::Metric;
-use deptree_relation::{AttrId, AttrSet, Relation, Schema};
+use deptree_relation::{AttrId, AttrSet, Relation, Schema, StrippedPartition};
 use std::fmt;
 
 /// A metric functional dependency `X →^δ Y`: tuples with *equal*
@@ -91,8 +91,11 @@ impl Dependency for Mfd {
         DepKind::Mfd
     }
 
+    /// Every class of `π_X` is within `δ` on every dependent attribute
+    /// (a one-row group's diameter is 0).
     fn holds(&self, r: &Relation) -> bool {
-        r.group_by(self.lhs).values().all(|rows| {
+        let px = StrippedPartition::from_attrs(r, self.lhs);
+        px.classes().iter().all(|rows| {
             self.rhs
                 .iter()
                 .enumerate()
@@ -102,7 +105,7 @@ impl Dependency for Mfd {
 
     fn violations(&self, r: &Relation) -> Vec<Violation> {
         let mut out = Vec::new();
-        for rows in r.group_by(self.lhs).values() {
+        for rows in StrippedPartition::from_attrs(r, self.lhs).classes() {
             for (i, &r1) in rows.iter().enumerate() {
                 for &r2 in rows.iter().skip(i + 1) {
                     let bad: AttrSet = self

@@ -3,8 +3,8 @@
 //! algorithm for near-optimal tableaux of a given embedded FD.
 
 use deptree_core::engine::{pool, Exec, Outcome};
-use deptree_core::{Cfd, Dependency, Fd, Pattern, PatternCell};
-use deptree_relation::{AttrSet, Relation, Value};
+use deptree_core::{Cfd, Fd, Pattern, PatternCell};
+use deptree_relation::{AttrSet, Relation, StrippedPartition, Value};
 
 /// Configuration shared by the discovery entry points.
 #[derive(Debug, Clone)]
@@ -35,7 +35,7 @@ pub fn cfdminer(r: &Relation, cfg: &CfdConfig) -> Vec<Cfd> {
     // smaller LHS (minimality).
     let mut found: Vec<(AttrSet, deptree_relation::AttrId, Vec<Value>)> = Vec::new();
     for lhs in crate::mvd_subsets(r.all_attrs(), cfg.max_lhs) {
-        for rows in r.group_by(lhs).values() {
+        for rows in StrippedPartition::from_attrs(r, lhs).into_groups() {
             if rows.len() < cfg.min_support {
                 continue;
             }
@@ -91,8 +91,8 @@ pub fn ctane(r: &Relation, cfg: &CfdConfig) -> Vec<Cfd> {
 }
 
 /// Budgeted [`ctane`]: one node tick per pattern candidate, row ticks for
-/// each support/validity scan. CFDs are emitted only after `holds`, so
-/// partial results are sound.
+/// each support/validity scan. CFDs are emitted only once they are found
+/// to hold, so partial results are sound.
 ///
 /// The support/validity scans for one embedded FD's pattern space run
 /// concurrently on the engine pool (budget reserved for the whole space
@@ -116,10 +116,9 @@ pub fn ctane_bounded(r: &Relation, cfg: &CfdConfig, exec: &Exec) -> Outcome<Vec<
             let domains: Vec<Vec<Value>> = lhs_attrs
                 .iter()
                 .map(|&a| {
-                    let mut vals: Vec<Value> = r
-                        .group_by(AttrSet::single(a))
-                        .into_keys()
-                        .filter_map(|mut k| k.pop())
+                    let mut vals: Vec<Value> = StrippedPartition::from_column(r, a)
+                        .into_groups()
+                        .map(|g| r.value(g[0], a).clone())
                         .collect();
                     vals.sort();
                     vals
@@ -142,10 +141,34 @@ pub fn ctane_bounded(r: &Relation, cfg: &CfdConfig, exec: &Exec) -> Outcome<Vec<
             let want = patterns.len() as u64;
             let prefix = exec.try_reserve_batch(want, row_cost) as usize;
             let batch = &patterns[..prefix];
+            // Every candidate shares `π_X` and `π_{X∪A}`: each group of
+            // `π_X` as its first row, its size and whether `π_{X∪A}`
+            // splits it. A pattern on `X` selects whole groups, so a
+            // candidate's support is the size of the groups it matches,
+            // and it holds iff none of them splits.
+            let mut by_xa = StrippedPartition::from_attrs(r, lhs.union(rhs_set)).splitter();
+            let groups: Vec<(usize, usize, bool)> = StrippedPartition::from_attrs(r, lhs)
+                .into_groups()
+                .map(|g| (g[0], g.len(), by_xa.split(&g).len() > 1))
+                .collect();
             let verdicts = pool::map(threads, batch, |_, p| {
                 if exec.interrupted() {
                     // Deadline/cancellation only; deterministic budgets
                     // never cut the granted batch.
+                    return None;
+                }
+                let matches = |t: usize| {
+                    let cell_ok = |(c, &a): (&Option<Value>, _)| {
+                        c.as_ref().is_none_or(|v| r.value(t, a) == v)
+                    };
+                    p.iter().zip(&lhs_attrs).all(cell_ok)
+                };
+                let (mut support, mut splits) = (0, false);
+                for &(_, len, split) in groups.iter().filter(|g| matches(g.0)) {
+                    support += len;
+                    splits |= split;
+                }
+                if support < cfg.min_support || splits {
                     return None;
                 }
                 let mut pattern = Pattern::all_any(lhs.union(rhs_set));
@@ -154,8 +177,7 @@ pub fn ctane_bounded(r: &Relation, cfg: &CfdConfig, exec: &Exec) -> Outcome<Vec<
                         pattern = pattern.with_const(lhs_attrs[i], v.clone());
                     }
                 }
-                let cand = Cfd::new(r.schema(), lhs, rhs_set, pattern);
-                (cand.matching_rows(r).len() >= cfg.min_support && cand.holds(r)).then_some(cand)
+                Some(Cfd::new(r.schema(), lhs, rhs_set, pattern))
             });
             for cand in verdicts.into_iter().flatten() {
                 // Minimality against already-emitted generalizations;
@@ -200,28 +222,26 @@ fn generalizes(a: &Cfd, b: &Cfd) -> bool {
 /// the classic set-cover surrogate for the NP-complete optimal-tableau
 /// problem. Stops when `target_coverage` (fraction of tuples) is reached
 /// or no valid row remains.
+///
+/// Candidates are the groups of `π_X` that `π_{X∪Y}` does not split,
+/// taken largest first; equal sizes go in first-row order.
 pub fn greedy_tableau(r: &Relation, fd: &Fd, target_coverage: f64) -> Vec<Cfd> {
-    let groups = r.group_by(fd.lhs());
-    // Valid candidate rows: LHS value combinations whose group satisfies
-    // the FD locally.
-    let mut candidates: Vec<(Vec<Value>, Vec<usize>)> = groups
-        .into_iter()
-        .filter(|(_, rows)| {
-            let first = r.project_row(rows[0], fd.rhs());
-            rows.iter().all(|&t| r.project_row(t, fd.rhs()) == first)
-        })
+    let mut by_xy = StrippedPartition::from_attrs(r, fd.lhs().union(fd.rhs())).splitter();
+    let mut candidates: Vec<Vec<usize>> = StrippedPartition::from_attrs(r, fd.lhs())
+        .into_groups()
+        .filter(|rows| by_xy.split(rows).len() == 1)
         .collect();
-    candidates.sort_by_key(|(_, rows)| std::cmp::Reverse(rows.len()));
+    candidates.sort_by_key(|rows| std::cmp::Reverse(rows.len()));
     let target = (target_coverage * r.n_rows() as f64).ceil() as usize;
     let mut covered = 0usize;
     let mut tableau = Vec::new();
-    for (vals, rows) in candidates {
+    for rows in candidates {
         if covered >= target {
             break;
         }
         let mut pattern = Pattern::all_any(fd.lhs().union(fd.rhs()));
-        for (attr, v) in fd.lhs().iter().zip(&vals) {
-            pattern = pattern.with_const(attr, v.clone());
+        for attr in fd.lhs().iter() {
+            pattern = pattern.with_const(attr, r.value(rows[0], attr).clone());
         }
         tableau.push(Cfd::new(r.schema(), fd.lhs(), fd.rhs(), pattern));
         covered += rows.len();
@@ -257,6 +277,7 @@ pub fn tableau_coverage(r: &Relation, tableau: &[Cfd]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deptree_core::Dependency;
     use deptree_relation::examples::{hotels_r5, hotels_r6};
 
     #[test]

@@ -5,7 +5,7 @@
 
 use deptree_core::{Cdd, Cmd, Condition, Dependency, Md};
 use deptree_metrics::Metric;
-use deptree_relation::{AttrId, AttrSet, Relation, Value, ValueType};
+use deptree_relation::{AttrId, AttrSet, Relation, StrippedPartition, Value, ValueType};
 
 /// Frequent `(attribute, constant)` conditions over categorical/text
 /// attributes, with at least `min_support` matching rows.
@@ -15,11 +15,9 @@ pub fn frequent_conditions(r: &Relation, min_support: usize) -> Vec<(AttrId, Val
         if attr.ty == ValueType::Numeric {
             continue;
         }
-        for (key, rows) in r.group_by(AttrSet::single(id)) {
+        for rows in StrippedPartition::from_column(r, id).into_groups() {
             if rows.len() >= min_support {
-                if let Some(v) = key.into_iter().next() {
-                    out.push((id, v));
-                }
+                out.push((id, r.value(rows[0], id).clone()));
             }
         }
     }

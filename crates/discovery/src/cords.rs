@@ -8,7 +8,6 @@
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Fd, Sfd};
 use deptree_relation::{AttrId, AttrSet, Relation, Value};
-use std::collections::HashMap;
 
 /// Configuration for [`discover`].
 #[derive(Debug, Clone)]
@@ -23,7 +22,8 @@ pub struct CordsConfig {
     /// (CORDS' robust chi-square analysis). 0 disables the filter.
     pub chi2_threshold: f64,
     /// Cap on contingency-table categories per column (CORDS buckets
-    /// domains for robustness).
+    /// domains for robustness). The table is dense: `max_categories²`
+    /// joint counters per column pair.
     pub max_categories: usize,
 }
 
@@ -69,38 +69,36 @@ fn systematic_sample(r: &Relation, k: usize) -> Vec<usize> {
     (0..k).map(|i| (i as f64 * step) as usize).collect()
 }
 
-fn bucket(v: &Value, max: usize) -> u64 {
+fn bucket(v: &Value, max: usize) -> usize {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     v.hash(&mut h);
-    h.finish() % max as u64
+    (h.finish() % max as u64) as usize
 }
 
 /// Chi-square statistic of independence over the bucketized contingency
 /// table of columns `a`, `b` restricted to `rows`.
+///
+/// Counts go into dense arrays of `max_cat` buckets per column
+/// (`max_cat²` joint cells), and every cell with both marginals non-zero
+/// is summed in bucket order, so the statistic repeats bit for bit; an
+/// unobserved cell contributes its expectation.
 pub fn chi_square(r: &Relation, rows: &[usize], a: AttrId, b: AttrId, max_cat: usize) -> f64 {
-    let mut joint: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut ma: HashMap<u64, f64> = HashMap::new();
-    let mut mb: HashMap<u64, f64> = HashMap::new();
-    let n = rows.len() as f64;
+    let k = max_cat.max(1);
+    let mut joint = vec![0.0f64; k * k];
+    let (mut ma, mut mb) = (vec![0.0f64; k], vec![0.0f64; k]);
     for &row in rows {
-        let ba = bucket(r.value(row, a), max_cat);
-        let bb = bucket(r.value(row, b), max_cat);
-        *joint.entry((ba, bb)).or_default() += 1.0;
-        *ma.entry(ba).or_default() += 1.0;
-        *mb.entry(bb).or_default() += 1.0;
+        let (ba, bb) = (bucket(r.value(row, a), k), bucket(r.value(row, b), k));
+        joint[ba * k + bb] += 1.0;
+        ma[ba] += 1.0;
+        mb[bb] += 1.0;
     }
+    let n = rows.len() as f64;
     let mut chi2 = 0.0;
-    for (&(ba, bb), &obs) in &joint {
-        let expected = ma[&ba] * mb[&bb] / n;
-        chi2 += (obs - expected).powi(2) / expected;
-    }
-    // Unobserved cells contribute their expectation.
-    for (&ba, &ca) in &ma {
-        for (&bb, &cb) in &mb {
-            if !joint.contains_key(&(ba, bb)) {
-                chi2 += ca * cb / n;
-            }
+    for (ba, &ca) in ma.iter().enumerate().filter(|&(_, &c)| c > 0.0) {
+        for (bb, &cb) in mb.iter().enumerate().filter(|&(_, &c)| c > 0.0) {
+            let expected = ca * cb / n;
+            chi2 += (joint[ba * k + bb] - expected).powi(2) / expected;
         }
     }
     chi2

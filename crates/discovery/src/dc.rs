@@ -5,7 +5,7 @@
 use crate::cover::{minimal_hitting_sets, minimal_hitting_sets_bounded};
 use deptree_core::engine::{pool, Exec, Outcome};
 use deptree_core::{CmpOp, Dc, Operand, Predicate};
-use deptree_relation::{AttrId, Relation, Value, ValueType};
+use deptree_relation::{AttrId, Relation, StrippedPartition, Value, ValueType};
 use std::collections::HashMap;
 
 /// Configuration for [`discover`].
@@ -186,9 +186,10 @@ impl<'a> PairKernel<'a> {
 /// predicates it satisfies, as distinct evidence sets with their
 /// multiplicities.
 ///
-/// Blocked construction: group rows into distinct-tuple classes first,
-/// evaluate predicates once per ordered class pair, and account each
-/// result with the class-product multiplicity. An evidence bitset is a
+/// Blocked construction: group rows into distinct-tuple classes first
+/// (the groups of `π_R`, in first-row order), evaluate predicates once
+/// per ordered class pair, and account each result with the
+/// class-product multiplicity. An evidence bitset is a
 /// pure function of the two tuples' values, so rows within a class are
 /// interchangeable and the multiset equals a per-pair scan's exactly — in
 /// `O(d²·|P|)` for `d` distinct tuples instead of `O(n²·|P|)`. Each class
@@ -210,11 +211,9 @@ pub fn evidence_sets_blocked(
 ) -> (HashMap<u64, usize>, bool) {
     let kernel = PairKernel::new(r, preds);
     let mut span = exec.span("dc.evidence");
-    let mut classes: Vec<Vec<usize>> = r.group_by(r.all_attrs()).into_values().collect();
-    for c in &mut classes {
-        c.sort_unstable();
-    }
-    classes.sort_unstable();
+    let classes: Vec<Vec<usize>> = StrippedPartition::from_attrs(r, r.all_attrs())
+        .into_groups()
+        .collect();
     // Serial prefix grant: block b covers the intra pairs of class b plus
     // both orientations against every later class.
     let mut granted = 0usize;

@@ -40,7 +40,7 @@ const THRESHOLD_SAMPLE_ROWS: usize = 512;
 
 /// Candidate thresholds for `attr`: distinct quantiles of the observed
 /// pairwise distances (the data-driven threshold determination step).
-/// On relations above [`THRESHOLD_SAMPLE_ROWS`] rows the distribution is
+/// On relations above `THRESHOLD_SAMPLE_ROWS` (512) rows the distribution is
 /// taken over a deterministic strided row sample.
 pub fn candidate_thresholds(r: &Relation, attr: AttrId, metric: &Metric, k: usize) -> Vec<f64> {
     let n = r.n_rows();

@@ -9,7 +9,7 @@
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::Mfd;
 use deptree_metrics::Metric;
-use deptree_relation::{AttrId, AttrSet, Relation};
+use deptree_relation::{AttrId, AttrSet, Relation, StrippedPartition};
 
 /// Exact diameter of `rows` on `attr` under `metric` — `O(k²)`.
 pub fn exact_diameter(r: &Relation, rows: &[usize], attr: AttrId, metric: &Metric) -> f64 {
@@ -54,8 +54,8 @@ pub fn approx_verify(
     delta: f64,
 ) -> ApproxVerdict {
     let mut all_certain_hold = true;
-    for rows in r.group_by(lhs).values() {
-        let m = pivot_radius(r, rows, attr, metric);
+    for rows in StrippedPartition::from_attrs(r, lhs).into_groups() {
+        let m = pivot_radius(r, &rows, attr, metric);
         if m > delta {
             return ApproxVerdict::Fails; // D ≥ M > δ
         }
@@ -70,11 +70,13 @@ pub fn approx_verify(
     }
 }
 
-/// The smallest `δ` for which `lhs →^δ attr` holds: the maximum group
-/// diameter. Discovery proposes this threshold (§3.1.3).
+/// The smallest `δ` for which `lhs →^δ attr` holds: the maximum
+/// diameter of a class of `π_X` (one-row groups have diameter 0).
+/// Discovery proposes this threshold (§3.1.3).
 pub fn minimal_delta(r: &Relation, lhs: AttrSet, attr: AttrId, metric: &Metric) -> f64 {
-    r.group_by(lhs)
-        .values()
+    StrippedPartition::from_attrs(r, lhs)
+        .classes()
+        .iter()
         .map(|rows| exact_diameter(r, rows, attr, metric))
         .fold(0.0f64, f64::max)
 }

@@ -12,7 +12,7 @@
 
 use deptree_core::engine::{Exec, Outcome};
 use deptree_core::{Dependency, Fd};
-use deptree_relation::{Relation, Value};
+use deptree_relation::{Relation, StrippedPartition, Value};
 use std::collections::HashSet;
 
 /// Rows not involved in any violation witness — the *core* every
@@ -101,50 +101,36 @@ pub fn consistent_answers_bounded(
 /// output attribute is outside the FD's RHS and constant across the
 /// group's candidates).
 pub fn consistent_answers_fd(r: &Relation, fd: &Fd, q: &SelectQuery) -> HashSet<Value> {
-    // Enumerate repairs group-wise: each conflicted group contributes its
-    // alternative "keep" subsets; the cross product of choices is the
-    // repair space. Intersecting per-group is equivalent and avoids the
-    // exponential cross product.
-    let groups = r.group_by(fd.lhs());
-    let mut base_rows: Vec<usize> = Vec::new();
-    let mut alternatives: Vec<Vec<Vec<usize>>> = Vec::new();
-    for rows in groups.values() {
-        let mut by_rhs: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-            std::collections::HashMap::new();
-        for &row in rows {
-            by_rhs
-                .entry(r.project_row(row, fd.rhs()))
-                .or_default()
-                .push(row);
-        }
-        if by_rhs.len() <= 1 {
-            base_rows.extend(rows.iter().copied());
-        } else {
-            // Minimal repairs keep one maximum-cardinality subset; all
-            // tied maxima are alternatives.
-            let max = by_rhs.values().map(Vec::len).max().unwrap_or(0);
-            let alts: Vec<Vec<usize>> = by_rhs.into_values().filter(|v| v.len() == max).collect();
-            alternatives.push(alts);
-        }
-    }
-    // Base answers present in every repair.
-    let base = q.answers_from(r, &base_rows);
-    // Per conflicted group: answers contributed by *every* alternative.
-    let mut certain = base;
-    for alts in alternatives {
-        let mut group_certain: Option<HashSet<Value>> = None;
-        for alt in alts {
-            let a = q.answers_from(r, &alt);
-            group_certain = Some(match group_certain {
-                None => a,
-                Some(prev) => prev.intersection(&a).cloned().collect(),
-            });
-        }
-        if let Some(gc) = group_certain {
-            certain.extend(gc);
-        }
+    // Enumerate repairs group-wise: each group contributes its alternative
+    // "keep" subsets; the cross product of choices is the repair space.
+    // Intersecting per-group is equivalent and avoids the exponential
+    // cross product. Minimal repairs keep one maximum-cardinality `Y`-block
+    // per `X`-group, and all tied maxima are alternatives; a conflict-free
+    // group has one block, kept in every repair. A block is the class of
+    // `π_{X∪Y}` that starts at its first row, or that row alone.
+    let pxy = StrippedPartition::from_attrs(r, fd.lhs().union(fd.rhs()));
+    let mut by_rhs = pxy.splitter();
+    let mut certain = HashSet::new();
+    for rows in StrippedPartition::from_attrs(r, fd.lhs()).into_groups() {
+        let blocks = by_rhs.split(&rows);
+        let max = blocks.iter().map(|b| b.len).max().unwrap_or(0);
+        let group_certain = blocks
+            .iter()
+            .filter(|b| b.len == max)
+            .map(|b| q.answers_from(r, class_at(&pxy, &b.first)))
+            .reduce(|a, b| a.intersection(&b).cloned().collect());
+        certain.extend(group_certain.into_iter().flatten());
     }
     certain
+}
+
+/// The rows of the class of `p` that starts at `first`, or `first` alone
+/// when no class does.
+fn class_at<'a>(p: &'a StrippedPartition, first: &'a usize) -> &'a [usize] {
+    match p.classes().binary_search_by_key(first, |c| c[0]) {
+        Ok(i) => &p.classes()[i],
+        Err(_) => std::slice::from_ref(first),
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +213,32 @@ mod tests {
         let answers = consistent_answers_bounded(&r, std::slice::from_ref(&fd), &query, &exec2);
         assert!(!answers.complete);
         assert!(answers.result.is_empty());
+    }
+
+    #[test]
+    fn one_group_of_distinct_rhs_values_answers_in_bounded_time() {
+        // One `X`-group of 40,000 rows whose `Y`-values are all distinct:
+        // 40,000 tied one-row blocks. Rescanning the group for each block
+        // would take 1.6·10⁹ row comparisons; taking each block's rows
+        // from `π_{X∪Y}` is linear.
+        use deptree_relation::{RelationBuilder, ValueType};
+        use std::time::{Duration, Instant};
+        let mut b = RelationBuilder::new()
+            .attr("dept", ValueType::Categorical)
+            .attr("name", ValueType::Categorical)
+            .attr("site", ValueType::Categorical);
+        for i in 0..40_000 {
+            b = b.row(vec!["d".into(), format!("n{i}").into(), "s".into()]);
+        }
+        let r = b.build().unwrap();
+        let fd = Fd::parse(r.schema(), "dept -> name").unwrap();
+        let started = Instant::now();
+        let site = consistent_answers_fd(&r, &fd, &q(&r, "dept", "d", "site"));
+        let name = consistent_answers_fd(&r, &fd, &q(&r, "dept", "d", "name"));
+        assert!(started.elapsed() < Duration::from_secs(5));
+        // Every repair keeps one row, all of site "s" and no name in common.
+        assert_eq!(site, HashSet::from([Value::str("s")]));
+        assert!(name.is_empty());
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! admissible attributes `X` — and enforcing it is a database repair.
 
 use deptree_core::Mvd;
-use deptree_relation::{Relation, Value};
-use std::collections::HashSet;
+use deptree_relation::{Relation, StrippedPartition};
 
 /// Measure the fairness violation: the number of missing "interventional"
 /// tuples — recombinations `(x, y, z)` the conditional-independence MVD
@@ -18,39 +17,24 @@ pub fn fairness_violation(r: &Relation, mvd: &Mvd) -> usize {
 /// Saturation repair: *insert* the missing recombinations so the MVD holds
 /// — the tuple-generating repair direction (every per-`X` group becomes
 /// the cross product of its `Y` and `Z` projections). Returns the repaired
-/// relation and the number of inserted tuples.
+/// relation and the number of inserted tuples, appended in the order of
+/// [`Mvd::missing_tuples`]: `X`-groups, then `Y`-values, then `Z`-values,
+/// each by first row.
 pub fn saturate(r: &Relation, mvd: &Mvd) -> (Relation, usize) {
     let z = mvd.z(r);
     let mut rel = r.clone();
     let mut inserted = 0usize;
-    for rows in r.group_by(mvd.x()).values() {
-        let x_vals = r.project_row(rows[0], mvd.x());
-        let ys: HashSet<Vec<Value>> = rows.iter().map(|&t| r.project_row(t, mvd.y())).collect();
-        let zs: HashSet<Vec<Value>> = rows.iter().map(|&t| r.project_row(t, z)).collect();
-        let present: HashSet<(Vec<Value>, Vec<Value>)> = rows
-            .iter()
-            .map(|&t| (r.project_row(t, mvd.y()), r.project_row(t, z)))
+    for (y_row, z_row) in mvd.missing_tuples(r) {
+        let tuple = r
+            .schema()
+            .ids()
+            .map(|a| {
+                r.value(if z.contains(a) { z_row } else { y_row }, a)
+                    .clone()
+            })
             .collect();
-        for yv in &ys {
-            for zv in &zs {
-                if present.contains(&(yv.clone(), zv.clone())) {
-                    continue;
-                }
-                // Assemble the full tuple in schema order.
-                let mut tuple = vec![Value::Null; r.n_attrs()];
-                for (i, a) in mvd.x().iter().enumerate() {
-                    tuple[a.index()] = x_vals[i].clone();
-                }
-                for (i, a) in mvd.y().iter().enumerate() {
-                    tuple[a.index()] = yv[i].clone();
-                }
-                for (i, a) in z.iter().enumerate() {
-                    tuple[a.index()] = zv[i].clone();
-                }
-                if rel.push_row(tuple).is_ok() {
-                    inserted += 1;
-                }
-            }
+        if rel.push_row(tuple).is_ok() {
+            inserted += 1;
         }
     }
     (rel, inserted)
@@ -61,35 +45,29 @@ pub fn saturate(r: &Relation, mvd: &Mvd) -> (Relation, usize) {
 /// insertion is unacceptable (e.g. label columns). Returns the repaired
 /// relation and the deleted row indices.
 pub fn prune(r: &Relation, mvd: &Mvd) -> (Relation, Vec<usize>) {
-    // Keep, per X-group, only the tuples of the largest Y-block crossed
-    // with the Z values present in that block — a simple sufficient
-    // strategy: restrict each group to a single Y value (independence
-    // holds trivially when |Y| = 1 per group).
-    let mut keep: Vec<usize> = Vec::new();
+    // Keep, per X-group, only the tuples of the largest Y-block (ties to
+    // the smallest Y-value) crossed with the Z values present in that
+    // block — a simple sufficient strategy: restrict each group to a
+    // single Y value (independence holds trivially when |Y| = 1 per
+    // group).
+    let y = mvd.y();
+    let mut by_y = StrippedPartition::from_attrs(r, mvd.x().union(y)).splitter();
+    let value = |row: usize| r.project_row(row, y);
     let mut deleted: Vec<usize> = Vec::new();
-    for rows in r.group_by(mvd.x()).values() {
-        let mut blocks: std::collections::HashMap<Vec<Value>, Vec<usize>> =
-            std::collections::HashMap::new();
-        for &t in rows {
-            blocks.entry(r.project_row(t, mvd.y())).or_default().push(t);
-        }
-        let Some((_, keep_rows)) = blocks
-            .iter()
-            .max_by(|a, b| a.1.len().cmp(&b.1.len()).then_with(|| b.0.cmp(a.0)))
-        else {
-            continue; // unreachable: every group has at least one row
-        };
-        let keep_set: HashSet<usize> = keep_rows.iter().copied().collect();
-        for &t in rows {
-            if keep_set.contains(&t) {
-                keep.push(t);
-            } else {
-                deleted.push(t);
-            }
+    for class in StrippedPartition::from_attrs(r, mvd.x()).classes() {
+        let best = by_y.split(class).iter().max_by(|a, b| {
+            a.len
+                .cmp(&b.len)
+                .then_with(|| value(b.first).cmp(&value(a.first)))
+        });
+        if let Some(best) = best {
+            deleted.extend(class.iter().filter(|&&t| !r.rows_agree(t, best.first, y)));
         }
     }
-    keep.sort_unstable();
     deleted.sort_unstable();
+    let keep: Vec<usize> = (0..r.n_rows())
+        .filter(|t| deleted.binary_search(t).is_err())
+        .collect();
     (r.select_rows(&keep), deleted)
 }
 
@@ -97,7 +75,7 @@ pub fn prune(r: &Relation, mvd: &Mvd) -> (Relation, Vec<usize>) {
 mod tests {
     use super::*;
     use deptree_core::Dependency;
-    use deptree_relation::{AttrSet, RelationBuilder, ValueType};
+    use deptree_relation::{AttrSet, RelationBuilder, Value, ValueType};
 
     /// Hiring data where gender correlates with outcome given the
     /// admissible attribute (department): the classic Simpson's-paradox

@@ -1,10 +1,12 @@
 //! Value-keyed FD-family checks: every `X`-group is copied out of the
 //! relation with `select_rows` and regrouped by its `Y`-values.
 
+use crate::relation::group_by;
 use deptree_core::{Fd, Violation};
+use deptree_quality::cqa::SelectQuery;
 use deptree_quality::repair::RepairResult;
 use deptree_relation::{AttrSet, Relation, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The `Y`-groups of one `X`-group `rows`, as row lists of `r`.
 fn rhs_groups(r: &Relation, rows: &[usize], rhs: AttrSet) -> Vec<Vec<usize>> {
@@ -14,7 +16,7 @@ fn rhs_groups(r: &Relation, rows: &[usize], rhs: AttrSet) -> Vec<Vec<usize>> {
         .iter()
         .filter_map(|a| sub.schema().attr_id(r.schema().name(a)))
         .collect();
-    sub.group_by(rhs_local)
+    group_by(&sub, rhs_local)
         .into_values()
         .map(|g| g.into_iter().map(|m| rows[m]).collect())
         .collect()
@@ -34,7 +36,7 @@ fn representatives(r: &Relation, rows: &[usize], rhs: AttrSet) -> Vec<usize> {
 /// `Y`-groups, from each group's smallest row.
 pub fn fd_violations(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> Vec<Violation> {
     let mut out = Vec::new();
-    for rows in r.group_by(lhs).values() {
+    for rows in group_by(r, lhs).values() {
         if rows.len() < 2 {
             continue;
         }
@@ -55,8 +57,7 @@ pub fn g3(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> f64 {
     if r.n_rows() == 0 {
         return 0.0;
     }
-    let removed: usize = r
-        .group_by(lhs)
+    let removed: usize = group_by(r, lhs)
         .values()
         .map(|rows| {
             let keep = rhs_groups(r, rows, rhs).iter().map(Vec::len).max();
@@ -69,7 +70,7 @@ pub fn g3(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> f64 {
 /// Reference for `Nud::max_fanout`: the most distinct `Y`-values of any
 /// `X`-group.
 pub fn nud_max_fanout(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> usize {
-    r.group_by(lhs)
+    group_by(r, lhs)
         .values()
         .map(|rows| rhs_groups(r, rows, rhs).len())
         .max()
@@ -80,7 +81,7 @@ pub fn nud_max_fanout(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> usize {
 /// than `k` distinct `Y`-values, its `k + 1` smallest representatives.
 pub fn nud_violations(r: &Relation, lhs: AttrSet, rhs: AttrSet, k: usize) -> Vec<Violation> {
     let mut out = Vec::new();
-    for rows in r.group_by(lhs).values() {
+    for rows in group_by(r, lhs).values() {
         let mut reps = representatives(r, rows, rhs);
         if reps.len() > k {
             reps.truncate(k + 1);
@@ -101,7 +102,7 @@ pub fn pfd_probability(r: &Relation, lhs: AttrSet, rhs: AttrSet) -> f64 {
     if r.n_rows() == 0 {
         return 1.0;
     }
-    let groups = r.group_by(lhs);
+    let groups = group_by(r, lhs);
     let total: f64 = groups
         .values()
         .map(|rows| {
@@ -123,7 +124,7 @@ pub fn repair_fds(r: &Relation, fds: &[Fd], max_iters: usize) -> RepairResult {
         iterations += 1;
         let mut changed = false;
         for fd in fds {
-            for rows in rel.group_by(fd.lhs()).values() {
+            for rows in group_by(&rel, fd.lhs()).values() {
                 if rows.len() < 2 {
                     continue;
                 }
@@ -160,4 +161,38 @@ pub fn repair_fds(r: &Relation, fds: &[Fd], max_iters: usize) -> RepairResult {
         changes,
         iterations,
     }
+}
+
+/// Reference for `quality::cqa::consistent_answers_fd`: answers of the
+/// conflict-free `X`-groups, plus those every maximum `Y`-block of a
+/// conflicted group yields.
+pub fn consistent_answers_fd(r: &Relation, fd: &Fd, q: &SelectQuery) -> HashSet<Value> {
+    let answers = |rows: &[usize]| -> HashSet<Value> {
+        rows.iter()
+            .filter(|&&row| r.value(row, q.attr) == &q.value)
+            .map(|&row| r.value(row, q.output).clone())
+            .collect()
+    };
+    let mut certain = HashSet::new();
+    for rows in group_by(r, fd.lhs()).values() {
+        let mut by_rhs: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        for &row in rows {
+            by_rhs
+                .entry(r.project_row(row, fd.rhs()))
+                .or_default()
+                .push(row);
+        }
+        let max = by_rhs.values().map(Vec::len).max().unwrap_or(0);
+        let group_certain = by_rhs
+            .values()
+            .filter(|block| block.len() == max)
+            .map(|block| answers(block))
+            .reduce(|a, b| a.intersection(&b).cloned().collect());
+        if by_rhs.len() <= 1 {
+            certain.extend(answers(rows));
+        } else if let Some(gc) = group_certain {
+            certain.extend(gc);
+        }
+    }
+    certain
 }

@@ -11,8 +11,11 @@
 //!
 //! | module | reference for |
 //! |---|---|
-//! | [`relation`] | `Relation::{group_by, distinct_count, sorted_rows}`, `StrippedPartition::{from_column, from_attrs, product_with_attr}` (TANE's level products) |
-//! | [`fd`] | `Fd::{violations, g3}`, `Nud::{max_fanout, violations}`, `Pfd::probability`, `quality::repair::repair_fds` |
+//! | [`relation`] | `StrippedPartition::into_groups` (the one grouping kernel: groups in first-row order, code equality), `Relation::{distinct_count, sorted_rows}`, `StrippedPartition::{from_column, from_attrs, product_with_attr}` (TANE's level products) |
+//! | [`fd`] | `Fd::{violations, g3}`, `Nud::{max_fanout, violations}`, `Pfd::probability`, `quality::repair::repair_fds`, `quality::cqa::consistent_answers_fd` |
+//! | [`mvd`] | `Mvd::{spurious_tuples, join_size, violations, missing_tuples}`, `Fhd::spurious_tuples`, `quality::fairness::{saturate, prune}` |
+//! | [`cfd`] | `Cfd::{holds, violations}`, `ECfd::violations`, CTANE |
+//! | [`mfd`] | `Mfd::{holds, violations}`, `discovery::mfd::{minimal_delta, approx_verify}` |
 //! | [`pairgen`] | `PairIndex::build_attr` |
 //! | [`od`] | the sorted single-atom check inside `Od::holds` |
 //! | [`md`] | `Md::{matching_pairs, support_confidence}`, `discovery::md::discover` |
@@ -32,12 +35,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cfd;
 pub mod cover;
 pub mod dc;
 pub mod dd;
 pub mod dedup;
 pub mod fd;
 pub mod md;
+pub mod mfd;
+pub mod mvd;
 pub mod ned;
 pub mod od;
 pub mod pairgen;

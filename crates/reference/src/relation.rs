@@ -11,8 +11,9 @@ pub fn column(r: &Relation, attr: AttrId) -> Vec<Value> {
         .collect()
 }
 
-/// Reference for `Relation::group_by`: rows keyed by their projected
-/// `Value` tuple (attributes in increasing order), row lists ascending.
+/// Rows keyed by their projected `Value` tuple (attributes in increasing
+/// order), row lists ascending — the hash grouping every row-major oracle
+/// here is built on.
 pub fn group_by(r: &Relation, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
     let mut groups: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
     for row in 0..r.n_rows() {
@@ -21,6 +22,14 @@ pub fn group_by(r: &Relation, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>>
             .or_default()
             .push(row);
     }
+    groups
+}
+
+/// Reference for `StrippedPartition::from_attrs(..).into_groups()`: the
+/// groups of [`group_by`], singletons included, in first-row order.
+pub fn groups(r: &Relation, attrs: AttrSet) -> Vec<Vec<usize>> {
+    let mut groups: Vec<Vec<usize>> = group_by(r, attrs).into_values().collect();
+    groups.sort_unstable_by_key(|g| g[0]);
     groups
 }
 

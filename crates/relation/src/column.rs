@@ -9,9 +9,12 @@
 //! * structural equality of cells is equality of codes (the bijection
 //!   between live codes and values is the invariant everything leans on);
 //! * repeated CSV cells cost no allocation after the first occurrence
-//!   (the parse path interns through [`Column::intern_text`]);
+//!   (the parse path interns through [`Column::intern_str`]);
 //! * grouping, partitioning and blocking become integer loops over the
-//!   code vector instead of `Value` hashing.
+//!   code vector instead of `Value` hashing. Grouping has one kernel, the
+//!   stripped partitions of [`crate::StrippedPartition`]: groups come in
+//!   first-row order, and two cells share a group iff their codes are
+//!   equal, so `2` and `2.0` fall in different groups.
 //!
 //! Alongside the codes a column maintains a null bitmap (one bit per row)
 //! and two lazily built views:

@@ -8,12 +8,14 @@
 //! * [`Schema`] / [`Attribute`] / [`AttrId`] — named, typed columns;
 //! * [`AttrSet`] — a compact bitset over attribute ids, the currency of
 //!   lattice-based discovery algorithms (TANE, CTANE, FASTOD, …);
-//! * [`Relation`] — a column-oriented instance with grouping, projection and
-//!   distinct-counting helpers;
+//! * [`Relation`] — a column-oriented instance with projection, sorting
+//!   and distinct-counting helpers;
 //! * [`StrippedPartition`] — equivalence-class partitions with the product
 //!   operation, the core data structure of partition-based discovery, and
 //!   the [`Splitter`] that splits one partition's classes by another's,
-//!   the core of violation detection and repair;
+//!   the core of violation detection and repair. Together they are the
+//!   one grouping kernel: every group of rows that agree on `X` comes
+//!   from `π_X`, in first-row order;
 //! * [`examples`] — the running example instances of the survey (Tables 1,
 //!   5, 6 and 7), reproduced verbatim so that every worked computation in
 //!   the paper can be checked as a unit test.

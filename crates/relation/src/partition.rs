@@ -7,10 +7,17 @@
 //! *product* `π_X · π_Y = π_{X∪Y}` lets a level-wise algorithm compute the
 //! partition for every lattice node from its parents in linear time, which
 //! is the trick that makes TANE practical.
+//!
+//! This module is also the workspace's one grouping kernel. The groups of
+//! rows that agree on `X` are the classes of [`StrippedPartition::from_attrs`]
+//! (with [`StrippedPartition::into_groups`] when singletons matter), and
+//! the `Y`-values inside each group are the sub-groups the [`Splitter`] of
+//! `π_{X∪Y}` finds. Classes, groups and sub-groups all come in first-row
+//! order, and rows are grouped by dictionary code — structural equality —
+//! so no `Value` is hashed and no order depends on a hash seed.
 
 use crate::attrset::AttrSet;
 use crate::relation::Relation;
-use std::collections::HashMap;
 
 /// A stripped partition of the rows of a relation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,15 +139,6 @@ impl StrippedPartition {
         Some(StrippedPartition { classes, n_rows: n })
     }
 
-    /// Partition from per-row labels: rows with equal labels share a class.
-    pub fn from_labels<T: std::hash::Hash + Eq>(labels: &[T]) -> Self {
-        let mut groups: HashMap<&T, Vec<usize>> = HashMap::new();
-        for (row, l) in labels.iter().enumerate() {
-            groups.entry(l).or_default().push(row);
-        }
-        Self::from_groups(groups.into_values(), labels.len())
-    }
-
     fn from_groups<I: IntoIterator<Item = Vec<usize>>>(groups: I, n_rows: usize) -> Self {
         let mut classes: Vec<Vec<usize>> = groups
             .into_iter()
@@ -152,6 +150,27 @@ impl StrippedPartition {
             .collect();
         classes.sort_unstable();
         StrippedPartition { classes, n_rows }
+    }
+
+    /// Every group of the full partition, singletons included, in
+    /// first-row order: the stripped classes are moved out, and each row
+    /// no class covers comes as a one-row group at its place. For the
+    /// callers that need every group — value patterns, supports, repairs,
+    /// tuple classes — rather than only those that can witness a
+    /// violation.
+    pub fn into_groups(self) -> impl Iterator<Item = Vec<usize>> {
+        let mut covered = vec![false; self.n_rows];
+        for &row in self.classes.iter().flatten() {
+            covered[row] = true;
+        }
+        let mut classes = self.classes.into_iter().peekable();
+        (0..self.n_rows).filter_map(move |row| {
+            if classes.peek().is_some_and(|c| c[0] == row) {
+                classes.next()
+            } else {
+                (!covered[row]).then(|| vec![row])
+            }
+        })
     }
 
     /// Number of rows in the underlying relation.
@@ -711,15 +730,61 @@ mod tests {
         assert_eq!(pc.g3_violations(&pb), 0);
     }
 
+    /// A two-column relation `(x, y)` over the given cells.
+    fn pairs(cells: &[(&str, i64)]) -> Relation {
+        cells
+            .iter()
+            .fold(
+                RelationBuilder::new()
+                    .attr("x", ValueType::Categorical)
+                    .attr("y", ValueType::Numeric),
+                |b, &(x, y)| b.row(vec![x.into(), y.into()]),
+            )
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn g3_with_rhs_singletons() {
         // X has one class of 3 rows; RHS values are all distinct, so the
         // best we can keep is one row: 2 violations.
-        let labels_x = ["g", "g", "g"];
-        let labels_y = [1, 2, 3];
-        let px = StrippedPartition::from_labels(&labels_x);
-        let py = StrippedPartition::from_labels(&labels_y);
+        let r = pairs(&[("g", 1), ("g", 2), ("g", 3)]);
+        let px = StrippedPartition::from_column(&r, crate::AttrId(0));
+        let py = StrippedPartition::from_column(&r, crate::AttrId(1));
         assert_eq!(px.g3_violations(&py), 2);
+    }
+
+    #[test]
+    fn groups_come_in_first_row_order_with_singletons() {
+        let r = rel();
+        let s = r.schema();
+        let groups = |attrs| {
+            StrippedPartition::from_attrs(&r, attrs)
+                .into_groups()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            groups(AttrSet::single(s.id("c"))),
+            [vec![0, 1], vec![2, 3], vec![4]]
+        );
+        assert_eq!(
+            groups(AttrSet::from_ids([s.id("b"), s.id("c")])),
+            [vec![0, 1], vec![2, 3], vec![4]]
+        );
+        assert_eq!(
+            groups(AttrSet::from_ids([s.id("a"), s.id("c")])),
+            [vec![0, 1], vec![2], vec![3], vec![4]]
+        );
+        assert_eq!(groups(AttrSet::empty()), [vec![0, 1, 2, 3, 4]]);
+        // A class whose first row follows a singleton keeps its place.
+        let r = pairs(&[("p", 1), ("q", 1), ("r", 1), ("q", 2), ("p", 3)]);
+        let px = StrippedPartition::from_column(&r, crate::AttrId(0));
+        assert_eq!(
+            px.into_groups().collect::<Vec<_>>(),
+            [vec![0, 4], vec![1, 3], vec![2]]
+        );
+        assert_eq!(StrippedPartition::identity(1).into_groups().count(), 1);
+        assert_eq!(StrippedPartition::identity(0).into_groups().count(), 0);
     }
 
     #[test]
@@ -743,8 +808,9 @@ mod tests {
         let pb = StrippedPartition::from_column(&r, s.id("b"));
         let pc = StrippedPartition::from_column(&r, s.id("c"));
         let id5 = StrippedPartition::identity(r.n_rows());
-        let tiny = StrippedPartition::from_labels(&["x", "x", "y"]);
-        let tiny2 = StrippedPartition::from_labels(&[1, 2, 2]);
+        let three = pairs(&[("x", 1), ("x", 2), ("y", 2)]);
+        let tiny = StrippedPartition::from_column(&three, crate::AttrId(0));
+        let tiny2 = StrippedPartition::from_column(&three, crate::AttrId(1));
         let mut scratch = ProductScratch::new();
         for (x, y) in [
             (&pa, &pb),
@@ -820,7 +886,7 @@ mod tests {
     }
 
     #[test]
-    fn radix_from_attrs_matches_hash_grouping() {
+    fn radix_from_attrs_matches_probe_product_chain() {
         let r = rel();
         let s = r.schema();
         for set in [
@@ -829,8 +895,12 @@ mod tests {
             AttrSet::from_ids([s.id("a"), s.id("b"), s.id("c")]),
         ] {
             let radix = StrippedPartition::from_codes_radix(&r, set).expect("domain fits");
-            let hash = StrippedPartition::from_groups(r.group_by(set).into_values(), r.n_rows());
-            assert_eq!(radix, hash, "from_attrs strategies disagree on {set:?}");
+            let chain = set
+                .iter()
+                .map(|a| StrippedPartition::from_column(&r, a))
+                .reduce(|p, q| p.product(&q))
+                .expect("non-empty set");
+            assert_eq!(radix, chain, "from_attrs strategies disagree on {set:?}");
         }
     }
 

@@ -5,7 +5,6 @@ use crate::column::Column;
 use crate::partition::StrippedPartition;
 use crate::schema::{AttrId, Schema, ValueType};
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors raised when constructing or manipulating relations.
@@ -45,6 +44,16 @@ impl std::error::Error for RelationError {}
 /// module docs). Cell access through [`Relation::value`] is two array
 /// loads; the code-level accessors ([`Relation::col`]) are what the hot
 /// paths of partitioning, grouping and pair blocking consume.
+///
+/// Grouping has one kernel. The rows that agree on `X` are the classes
+/// of [`StrippedPartition::from_attrs`]; [`StrippedPartition::splitter`]
+/// splits them by a finer partition, and
+/// [`StrippedPartition::into_groups`] yields every group, singletons
+/// included. Groups come in first-row order. A caller that ranks groups
+/// breaks ties by value where it compares values, and by first row
+/// otherwise, so no grouped output depends on a hash seed. Two rows share
+/// a group iff their codes are equal, which is structural cell equality:
+/// `2` and `2.0` fall in different groups.
 ///
 /// Equality is *logical* — same schema, same cells in the same order —
 /// independent of dictionary layout, which mutation history can permute.
@@ -222,36 +231,6 @@ impl Relation {
         attrs
             .iter()
             .all(|a| self.cols[a.0].code(r1) == self.cols[a.0].code(r2))
-    }
-
-    /// Group rows by their values on `attrs`.
-    ///
-    /// Returns a map from projected key to the (sorted) row indices holding
-    /// that key. It backs the checks that need each group's values: CFD
-    /// patterns, MFDs, MVDs, FHDs, consistent query answering, the fairness
-    /// repairs and, via the all-attribute grouping, the tuple classing of
-    /// FASTDC evidence sets. FDs, AFDs, NUDs and PFDs need only how each
-    /// group splits, and run on [`StrippedPartition::splitter`]. Grouping runs
-    /// on dictionary codes; the `Value` keys are materialized once per
-    /// distinct group, not once per row.
-    pub fn group_by(&self, attrs: AttrSet) -> HashMap<Vec<Value>, Vec<usize>> {
-        let cols: Vec<&Column> = attrs.iter().map(|a| &self.cols[a.0]).collect();
-        let mut groups: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for row in 0..self.n_rows {
-            let key: Vec<u32> = cols.iter().map(|c| c.code(row)).collect();
-            groups.entry(key).or_default().push(row);
-        }
-        groups
-            .into_iter()
-            .map(|(key, rows)| {
-                let vals: Vec<Value> = key
-                    .iter()
-                    .zip(&cols)
-                    .map(|(&code, c)| c.dict_value(code).clone())
-                    .collect();
-                (vals, rows)
-            })
-            .collect()
     }
 
     /// Number of distinct value combinations on `attrs`
@@ -496,12 +475,14 @@ mod tests {
     }
 
     #[test]
-    fn group_by_and_distinct() {
+    fn groups_and_distinct() {
         let r = sample();
         let a = r.schema().id("a");
-        let groups = r.group_by(AttrSet::single(a));
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&vec![Value::str("x")]], vec![0, 1]);
+        let groups: Vec<Vec<usize>> = StrippedPartition::from_attrs(&r, AttrSet::single(a))
+            .into_groups()
+            .collect();
+        assert_eq!(groups, [vec![0, 1], vec![2, 3]]);
+        assert_eq!(r.value(groups[0][0], a), &Value::str("x"));
         assert_eq!(r.distinct_count(AttrSet::single(a)), 2);
         let ab = AttrSet::single(a).insert(r.schema().id("b"));
         assert_eq!(r.distinct_count(ab), 3);

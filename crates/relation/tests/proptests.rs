@@ -4,7 +4,9 @@
 //! Driven by a seeded splitmix64 loop (no external dev-dependencies);
 //! a failing case reproduces exactly from its seed.
 
-use deptree_relation::{parse_csv, to_csv, AttrId, AttrSet, RelationBuilder, Value, ValueType};
+use deptree_relation::{
+    parse_csv, to_csv, AttrId, AttrSet, RelationBuilder, StrippedPartition, Value, ValueType,
+};
 use std::cmp::Ordering;
 
 struct MiniRng(u64);
@@ -142,25 +144,56 @@ fn csv_round_trip() {
     }
 }
 
-/// group_by partitions the rows: classes are disjoint and cover.
+/// The groups of `π_X` partition the rows: disjoint, covering, each
+/// ascending, in first-row order, and two rows share a group iff their
+/// `X`-cells are equal — `2` and `2.0` included, which never are.
 #[test]
-fn group_by_is_a_partition() {
+fn groups_are_a_partition() {
     let mut rng = MiniRng(0xE5);
     for case in 0..CASES {
         let n_rows = 1 + rng.below(19) as usize;
-        let mut b = RelationBuilder::new().attr("a", ValueType::Categorical);
+        let mut b = RelationBuilder::new()
+            .attr("a", ValueType::Categorical)
+            .attr("n", ValueType::Numeric);
         for _ in 0..n_rows {
-            b = b.row(vec![Value::str(format!("v{}", rng.below(5)))]);
+            let n = match rng.below(3) {
+                0 => Value::int(2),
+                1 => Value::float(2.0),
+                _ => Value::Null,
+            };
+            b = b.row(vec![Value::str(format!("v{}", rng.below(5))), n]);
         }
         let r = b.build().expect("consistent arity");
-        let groups = r.group_by(AttrSet::single(AttrId(0)));
-        let mut seen = vec![false; r.n_rows()];
-        for rows in groups.values() {
-            for &row in rows {
-                assert!(!seen[row], "case {case}: row in two groups");
-                seen[row] = true;
+        for attrs in [
+            AttrSet::single(AttrId(0)),
+            AttrSet::single(AttrId(1)),
+            AttrSet::from_ids([AttrId(0), AttrId(1)]),
+        ] {
+            let groups: Vec<Vec<usize>> = StrippedPartition::from_attrs(&r, attrs)
+                .into_groups()
+                .collect();
+            let mut group_of = vec![usize::MAX; r.n_rows()];
+            for (g, rows) in groups.iter().enumerate() {
+                assert!(rows.windows(2).all(|w| w[0] < w[1]), "case {case}");
+                for &row in rows {
+                    assert_eq!(group_of[row], usize::MAX, "case {case}: row in two groups");
+                    group_of[row] = g;
+                }
+            }
+            assert!(group_of.iter().all(|&g| g != usize::MAX), "case {case}");
+            assert!(
+                groups.windows(2).all(|w| w[0][0] < w[1][0]),
+                "case {case}: groups out of first-row order"
+            );
+            for i in 0..r.n_rows() {
+                for j in 0..r.n_rows() {
+                    assert_eq!(
+                        group_of[i] == group_of[j],
+                        r.project_row(i, attrs) == r.project_row(j, attrs),
+                        "case {case}: rows {i}, {j} on {attrs:?}"
+                    );
+                }
             }
         }
-        assert!(seen.into_iter().all(|s| s), "case {case}");
     }
 }

@@ -337,7 +337,7 @@ fn connect<T>(config: &ClientConfig) -> Result<TcpStream, Attempt<T>> {
 
 /// A small pool of idle keep-alive connections, keyed by server address.
 /// Cloning shares the pool. Parked sockets keep their io timeouts from
-/// [`connect`]; each round trip re-arms its own [`FrameClock`].
+/// `connect`; each round trip re-arms its own [`FrameClock`].
 #[derive(Debug, Clone, Default)]
 pub struct ConnPool {
     idle: Arc<Mutex<HashMap<String, Vec<TcpStream>>>>,

@@ -5,9 +5,9 @@
 //! The gateway is one process that:
 //!
 //! - **spawns and supervises** N worker processes on ephemeral ports
-//!   ([`supervisor`]): crash → exponential-backoff respawn, crash loop →
+//!   (`supervisor`): crash → exponential-backoff respawn, crash loop →
 //!   quarantine, wedged worker → `/readyz` probes declare it dead;
-//! - **places datasets** ([`placement`]): every dataset lives whole on a
+//! - **places datasets** (`placement`): every dataset lives whole on a
 //!   digest-stable home worker, plus `--replicas` successors and any
 //!   bare worker topped up as a spare;
 //! - **routes requests**: a task — or a batch whose items all name one
@@ -88,7 +88,7 @@ pub struct GatewayConfig {
     /// SIGTERM→SIGKILL grace per worker at shutdown and rolling drain.
     pub child_grace: Duration,
     /// Test-only: arm a deterministic kill/wedge/slow schedule derived
-    /// from this seed against the fleet ([`chaos`]).
+    /// from this seed against the fleet (`chaos`).
     pub chaos_seed: Option<u64>,
     /// Front-end transport knobs (bind address, admission, timeouts).
     pub listen: ListenOpts,

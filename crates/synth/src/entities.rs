@@ -17,7 +17,7 @@ pub struct EntitiesConfig {
     /// Probability that a duplicate's numeric field is wrong (an error, not
     /// mere variety).
     pub error_rate: f64,
-    /// RNG seed (pass to [`crate::rng`]).
+    /// RNG seed (pass to [`crate::rng()`]).
     pub seed: u64,
 }
 

@@ -62,7 +62,9 @@
 #      every worker restarts exactly once;
 #  12. dependency policy — `cargo tree -p deptree -e normal --offline`
 #      must not list the dev-only `deptree-reference` crate: oracles and
-#      baselines never ship.
+#      baselines never ship;
+#  13. rustdoc — `RUSTDOCFLAGS="-D warnings" cargo doc --workspace
+#      --no-deps`: every intra-doc link resolves, none to a private item.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -357,5 +359,8 @@ if grep -qF deptree-reference <<<"$shipped_tree"; then
     echo "$shipped_tree"
     exit 1
 fi
+
+echo "== rustdoc (warnings denied) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "ci: all green"

@@ -23,10 +23,13 @@
 mod common;
 
 use deptree::core::engine::{Budget, Exec};
-use deptree::core::{Dependency, Direction, Fd, NedAtom, Nud, Od, Pfd};
-use deptree::discovery::{dc, dd, fastfd, md, ned, od, tane};
+use deptree::core::{
+    Cfd, CmpOp, Dependency, Direction, ECfd, Fd, Fhd, Mfd, Mvd, NedAtom, Nud, Od, Pattern,
+    PatternOp, Pfd,
+};
+use deptree::discovery::{cfd, dc, dd, fastfd, md, mfd, ned, od, tane};
 use deptree::metrics::Metric;
-use deptree::quality::repair;
+use deptree::quality::{cqa, fairness, repair};
 use deptree::relation::examples::{dataspace_cd, hotels_r1, hotels_r5, hotels_r6, hotels_r7};
 use deptree::relation::pairgen::{PairIndex, PairSpec};
 use deptree::relation::{
@@ -463,9 +466,11 @@ fn grouping_kernels_match_reference_on_every_attribute_subset() {
     for (label, r) in kernel_corpus() {
         for set in all_subsets(&r) {
             assert_eq!(
-                r.group_by(set),
-                reference::relation::group_by(&r, set),
-                "{label}: group_by {set:?}"
+                StrippedPartition::from_attrs(&r, set)
+                    .into_groups()
+                    .collect::<Vec<_>>(),
+                reference::relation::groups(&r, set),
+                "{label}: groups {set:?}"
             );
             assert_eq!(
                 r.distinct_count(set),
@@ -643,5 +648,174 @@ fn fd_checks_match_reference_on_every_attribute_pair() {
                 assert!((p - want_p).abs() <= 1e-12, "{what}: PFD {p} vs {want_p}");
             }
         }
+    }
+}
+
+#[test]
+fn grouped_checks_match_reference_on_every_attribute_pair() {
+    for (label, r) in kernel_corpus() {
+        let s = r.schema();
+        let lhs_sets = all_subsets(&r).into_iter().filter(|x| x.len() <= 2);
+        for x in lhs_sets {
+            for a in s.ids() {
+                let y = AttrSet::single(a);
+                let what = format!("{label}: X = {x:?}, A = {a:?}");
+                if !x.contains(a) {
+                    mvd_family_matches_reference(&r, x, a, &what);
+                }
+                cfd_family_matches_reference(&r, x, a, &what);
+                let metric = Metric::default_for(s.ty(a));
+                for delta in [0.0, 1.0, 5.0] {
+                    let m = Mfd::new(s, x, vec![(a, metric.clone(), delta)]);
+                    assert_eq!(m.holds(&r), reference::mfd::holds(&r, &m), "{what}: {m}");
+                    let want = reference::mfd::violations(&r, &m);
+                    assert_eq!(m.violations(&r), want, "{what}: {m} witnesses");
+                }
+                for delta in [-1.0, 0.0, 1.0, 5.0, f64::NAN] {
+                    assert_eq!(
+                        mfd::approx_verify(&r, x, a, &metric, delta),
+                        reference::mfd::approx_verify(&r, x, a, &metric, delta),
+                        "{what}: MFD pivot verdict at δ = {delta}"
+                    );
+                }
+                assert_eq!(
+                    mfd::minimal_delta(&r, x, a, &metric),
+                    reference::mfd::minimal_delta(&r, x, a, &metric),
+                    "{what}: MFD minimal δ"
+                );
+                if let (Some(first), Some(last)) = (s.ids().next(), s.ids().last()) {
+                    if r.n_rows() > 0 {
+                        let q = cqa::SelectQuery {
+                            attr: first,
+                            value: r.value(0, first).clone(),
+                            output: last,
+                        };
+                        let fd = Fd::new(s, x, y);
+                        assert_eq!(
+                            cqa::consistent_answers_fd(&r, &fd, &q),
+                            reference::fd::consistent_answers_fd(&r, &fd, &q),
+                            "{what}: consistent answers"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `X ↠ A`, its saturation and pruning repairs, and the FHD
+/// `X : {A}, {B}` for the first other `B` outside `X`, against their
+/// row-major references.
+fn mvd_family_matches_reference(r: &Relation, x: AttrSet, a: AttrId, what: &str) {
+    let s = r.schema();
+    let mvd = Mvd::new(s, x, AttrSet::single(a));
+    let spurious = mvd.spurious_tuples(r);
+    assert_eq!(
+        spurious,
+        reference::mvd::spurious_tuples(r, &mvd),
+        "{what}: {mvd} spurious"
+    );
+    assert_eq!(
+        mvd.join_size(r),
+        reference::mvd::join_size(r, &mvd),
+        "{what}: {mvd} join"
+    );
+    let want = reference::mvd::violations(r, &mvd);
+    assert_eq!(mvd.violations(r), want, "{what}: {mvd} witnesses");
+    let z = mvd.z(r);
+    let tuple = |(y_row, z_row): (usize, usize)| -> Vec<Value> {
+        s.ids()
+            .map(|b| {
+                r.value(if z.contains(b) { z_row } else { y_row }, b)
+                    .clone()
+            })
+            .collect()
+    };
+    let mut missing: Vec<Vec<Value>> = mvd.missing_tuples(r).into_iter().map(tuple).collect();
+    missing.sort();
+    let want = reference::mvd::missing_tuples(r, &mvd);
+    assert_eq!(missing, want, "{what}: {mvd} missing tuples");
+    assert_eq!(missing.len(), spurious, "{what}: {mvd} missing = spurious");
+    let (saturated, inserted) = fairness::saturate(r, &mvd);
+    let mut added: Vec<Vec<Value>> = (r.n_rows()..saturated.n_rows())
+        .map(|row| saturated.row(row))
+        .collect();
+    added.sort();
+    assert_eq!(
+        (inserted, added),
+        (want.len(), want),
+        "{what}: {mvd} saturate"
+    );
+    assert_eq!(
+        fairness::prune(r, &mvd),
+        reference::mvd::prune(r, &mvd),
+        "{what}: {mvd} prune"
+    );
+    if let Some(b) = s.ids().find(|&b| b != a && !x.contains(b)) {
+        let fhd = Fhd::new(s, x, vec![AttrSet::single(a), AttrSet::single(b)]);
+        assert_eq!(
+            fhd.spurious_tuples(r),
+            reference::mvd::fhd_spurious_tuples(r, &fhd),
+            "{what}: {fhd} spurious"
+        );
+    }
+}
+
+/// `(X → A, t_p)` with `t_p` all variables, `X` bound to the first and to
+/// the last row, and `A` bound too; and the eCFDs that bound `X`'s first
+/// attribute by `≤` and `≠` instead.
+/// CTANE scores every pattern candidate of an embedded FD on the groups
+/// of `π_X` and their split flags; the reference counts support over all
+/// rows and validates each candidate on its own.
+#[test]
+fn ctane_matches_reference_on_the_kernel_corpus() {
+    let cfg = cfd::CfdConfig {
+        min_support: 2,
+        max_lhs: 2,
+    };
+    for (label, r) in kernel_corpus() {
+        assert_eq!(
+            cfd::ctane(&r, &cfg),
+            reference::cfd::ctane(&r, &cfg),
+            "{label}"
+        );
+    }
+}
+
+fn cfd_family_matches_reference(r: &Relation, x: AttrSet, a: AttrId, what: &str) {
+    let s = r.schema();
+    let (y, xa) = (AttrSet::single(a), x.insert(a));
+    let mut patterns = vec![Pattern::all_any(xa)];
+    let mut ecfds = Vec::new();
+    for row in [0, r.n_rows().saturating_sub(1)]
+        .into_iter()
+        .filter(|&t| t < r.n_rows())
+    {
+        let bound = x.iter().fold(Pattern::all_any(xa), |p, b| {
+            p.with_const(b, r.value(row, b).clone())
+        });
+        patterns.push(bound.clone().with_const(a, r.value(row, a).clone()));
+        patterns.push(bound);
+        if let Some(b) = x.min() {
+            for op in [CmpOp::Leq, CmpOp::Neq] {
+                let cells = vec![(b, PatternOp::Cmp(op, r.value(row, b).clone()))];
+                ecfds.push(ECfd::new(s, x, y, cells));
+            }
+        }
+    }
+    for pattern in patterns {
+        let cfd = Cfd::new(s, x, y, pattern);
+        assert_eq!(
+            cfd.holds(r),
+            reference::cfd::cfd_holds(r, &cfd),
+            "{what}: {cfd}"
+        );
+        let want = reference::cfd::cfd_violations(r, &cfd);
+        assert_eq!(cfd.violations(r), want, "{what}: {cfd} witnesses");
+        ecfds.push(ECfd::from_cfd(s, &cfd));
+    }
+    for ecfd in ecfds {
+        let want = reference::cfd::ecfd_violations(r, &ecfd);
+        assert_eq!(ecfd.violations(r), want, "{what}: {ecfd} witnesses");
     }
 }

@@ -14,12 +14,18 @@
 //!
 //! Deadline budgets cut off at a timing-dependent point by design, so for
 //! those only soundness (not bit-equality) is asserted.
+//!
+//! The tasks built on grouping — CFD mining and tableaux, condition
+//! mining, MVD and MFD discovery, the fairness repairs, consistent query
+//! answering and CORDS' χ² — must also repeat from call to call in one
+//! process, where every std `HashMap` draws a fresh hash seed.
 
 use deptree::core::engine::{Budget, BudgetKind, Exec};
-use deptree::core::Dependency;
-use deptree::discovery::{cfd, ecfd, fastfd, nud, pfd, tane};
+use deptree::core::{Dependency, Fd, Mvd};
+use deptree::discovery::{cfd, conditional, cords, ecfd, fastfd, mfd, mvd, nud, pfd, tane};
+use deptree::quality::{cqa, fairness};
 use deptree::relation::examples::{hotels_r1, hotels_r5, hotels_r6, hotels_r7};
-use deptree::relation::Relation;
+use deptree::relation::{AttrId, AttrSet, Relation, RelationBuilder, Value, ValueType};
 use deptree::synth::{categorical, CategoricalConfig};
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -507,4 +513,173 @@ fn deadline_budget_stays_sound_at_every_thread_count() {
             );
         }
     }
+}
+
+/// Twelve three-row groups on `k`, constant on `v`, first seen in an
+/// order that is not their value order, so every tie among equal-sized
+/// groups has to be broken by a rule.
+fn twelve_groups() -> Relation {
+    (0..36)
+        .fold(
+            RelationBuilder::new()
+                .attr("k", ValueType::Categorical)
+                .attr("v", ValueType::Categorical)
+                .attr("w", ValueType::Numeric),
+            |b, row| {
+                let g = row * 5 % 12;
+                b.row(vec![
+                    Value::str(format!("k{g}")),
+                    Value::str(format!("v{}", g % 4)),
+                    Value::int(row * 7 % 5),
+                ])
+            },
+        )
+        .build()
+        .unwrap()
+}
+
+/// One `d`-group whose four `(gender, outcome, score)` rows form a
+/// diagonal: `d ↠ gender` misses twelve recombinations.
+fn four_by_four() -> Relation {
+    ["a", "b", "c", "e"]
+        .iter()
+        .zip(["p", "q", "r", "s"])
+        .enumerate()
+        .fold(
+            RelationBuilder::new()
+                .attr("dept", ValueType::Categorical)
+                .attr("gender", ValueType::Categorical)
+                .attr("hired", ValueType::Categorical)
+                .attr("score", ValueType::Numeric),
+            |b, (i, (&g, h))| b.row(vec!["d".into(), g.into(), h.into(), Value::int(i as i64)]),
+        )
+        .build()
+        .unwrap()
+}
+
+fn strings<T: ToString>(items: &[T]) -> Vec<String> {
+    items.iter().map(ToString::to_string).collect()
+}
+
+/// Every grouped task on `r` at `threads`, rendered with floats as bit
+/// patterns.
+fn grouped_outputs(r: &Relation, threads: usize) -> Vec<String> {
+    let s = r.schema();
+    let (first, second) = (AttrId(0), AttrId(1));
+    let last = AttrId(s.len() - 1);
+    let fd = Fd::new(s, AttrSet::single(first), AttrSet::single(second));
+    let x_mvd = Mvd::new(s, AttrSet::single(first), AttrSet::single(second));
+    let e = exec(Budget::new(), threads);
+    let mut out = vec!["cfdminer".to_owned()];
+    let mined = cfd::cfdminer(r, &cfd::CfdConfig::default());
+    out.extend(strings(&mined));
+    out.push("greedy tableau".into());
+    out.extend(strings(&cfd::greedy_tableau(r, &fd, 0.25)));
+    out.push("frequent conditions".into());
+    for (a, v) in conditional::frequent_conditions(r, 2) {
+        out.push(format!("{a:?} = {v:?}"));
+    }
+    let ctane_cfg = cfd::CfdConfig {
+        min_support: 2,
+        max_lhs: 1,
+    };
+    let ct = cfd::ctane_bounded(r, &ctane_cfg, &e);
+    out.push(format!("ctane complete={}", ct.complete));
+    out.extend(strings(&ct.result));
+    let mv = mvd::discover_bounded(r, &mvd::MvdConfig::default(), &e);
+    out.push(format!("mvd complete={}", mv.complete));
+    out.extend(strings(&mv.result));
+    let mf = mfd::discover_bounded(r, &mfd::MfdConfig::default(), &e);
+    out.push(format!("mfd complete={}", mf.complete));
+    for (m, delta) in &mf.result {
+        out.push(format!("{m} δ={:x}", delta.to_bits()));
+    }
+    let (saturated, inserted) = fairness::saturate(r, &x_mvd);
+    out.push(format!("saturate inserted {inserted}"));
+    out.extend((0..saturated.n_rows()).map(|row| format!("{:?}", saturated.row(row))));
+    let (pruned, deleted) = fairness::prune(r, &x_mvd);
+    out.push(format!("prune deleted {deleted:?}"));
+    out.extend((0..pruned.n_rows()).map(|row| format!("{:?}", pruned.row(row))));
+    if r.n_rows() > 0 {
+        let q = cqa::SelectQuery {
+            attr: first,
+            value: r.value(0, first).clone(),
+            output: last,
+        };
+        let answers = cqa::consistent_answers_fd(r, &fd, &q);
+        let mut answers = strings(&answers.into_iter().collect::<Vec<_>>());
+        answers.sort();
+        out.push(format!("consistent answers {answers:?}"));
+    }
+    let cords_cfg = cords::CordsConfig {
+        chi2_threshold: 1e-9,
+        ..Default::default()
+    };
+    let co = cords::discover_bounded(r, &cords_cfg, &e);
+    out.push(format!("cords complete={}", co.complete));
+    out.extend(strings(&co.result.sfds));
+    for c in &co.result.correlations {
+        out.push(format!("{:?} {:?} χ²={:x}", c.a, c.b, c.chi2.to_bits()));
+    }
+    out
+}
+
+#[test]
+fn grouped_tasks_repeat_call_to_call_at_every_thread_count() {
+    let cfg = CategoricalConfig {
+        n_rows: 500,
+        n_key_attrs: 2,
+        n_dep_attrs: 3,
+        domain: 30,
+        error_rate: 0.05,
+        seed: 5,
+    };
+    let synthetic = categorical::generate(&cfg, &mut deptree::synth::rng(cfg.seed)).relation;
+    for (label, r) in [
+        ("twelve groups", twelve_groups()),
+        ("four by four", four_by_four()),
+        ("r1", hotels_r1()),
+        ("synthetic", synthetic),
+    ] {
+        let want = grouped_outputs(&r, 1);
+        for t in [1, 8, 1, 8] {
+            assert_eq!(
+                grouped_outputs(&r, t),
+                want,
+                "{label}: a rerun at {t} thread(s)"
+            );
+        }
+    }
+    // Ties go by first row: the twelve equal groups' tableau takes the
+    // three groups seen first, and saturation appends the missing
+    // recombinations gender by gender, then outcome by outcome.
+    let r = twelve_groups();
+    let fd = Fd::parse(r.schema(), "k -> v").unwrap();
+    let tableau: Vec<String> = cfd::greedy_tableau(&r, &fd, 0.25)
+        .iter()
+        .map(ToString::to_string)
+        .collect();
+    assert_eq!(
+        tableau,
+        ["CFD: k=k0 -> v=_", "CFD: k=k5 -> v=_", "CFD: k=k10 -> v=_"]
+    );
+    let r = four_by_four();
+    let s = r.schema();
+    let mvd = Mvd::new(
+        s,
+        AttrSet::single(s.id("dept")),
+        AttrSet::single(s.id("gender")),
+    );
+    let (saturated, inserted) = fairness::saturate(&r, &mvd);
+    assert_eq!(inserted, 12);
+    let added: Vec<String> = (4..saturated.n_rows())
+        .map(|row| {
+            let cell = |name| saturated.value(row, s.id(name)).to_string();
+            format!("{}{}{}", cell("gender"), cell("hired"), cell("score"))
+        })
+        .collect();
+    assert_eq!(
+        added,
+        ["aq1", "ar2", "as3", "bp0", "br2", "bs3", "cp0", "cq1", "cs3", "ep0", "eq1", "er2"]
+    );
 }
