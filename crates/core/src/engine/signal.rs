@@ -18,14 +18,8 @@ use std::time::Duration;
 pub const SIGHUP: i32 = 1;
 /// `SIGINT` (Ctrl-C).
 pub const SIGINT: i32 = 2;
-/// `SIGKILL` (unblockable kill; the chaos harness uses it for crashes).
-pub const SIGKILL: i32 = 9;
 /// `SIGTERM` (polite kill; what orchestrators send first).
 pub const SIGTERM: i32 = 15;
-/// `SIGCONT` (resume a stopped process; ends a chaos `Slow` window).
-pub const SIGCONT: i32 = 18;
-/// `SIGSTOP` (unblockable stop; the chaos harness wedges workers with it).
-pub const SIGSTOP: i32 = 19;
 
 /// Signals observed since [`install`]. Monotonic; never reset.
 static RECEIVED: AtomicU32 = AtomicU32::new(0);
@@ -152,62 +146,6 @@ pub fn send(pid: u32, sig: i32) -> bool {
     }
 }
 
-/// How often [`reap_with_grace`] polls the child for exit.
-const REAP_POLL: Duration = Duration::from_millis(10);
-
-/// What [`reap_with_grace_report`] had to do to bring the child down.
-#[derive(Debug, Clone, Copy)]
-pub struct ReapOutcome {
-    /// The collected exit status, when one could be collected.
-    pub status: Option<std::process::ExitStatus>,
-    /// `true` when the grace expired and the child had to be
-    /// `SIGKILL`ed — the polite drain did not finish in time.
-    pub forced: bool,
-}
-
-/// Stop a child process politely, then firmly: send `SIGTERM`, wait up
-/// to `grace` for it to exit on its own, then `SIGKILL` and wait. The
-/// final blocking `wait` guarantees the child is reaped (no zombie)
-/// whichever path it took. Returns the exit status when one was
-/// collected.
-pub fn reap_with_grace(
-    child: &mut std::process::Child,
-    grace: Duration,
-) -> Option<std::process::ExitStatus> {
-    reap_with_grace_report(child, grace).status
-}
-
-/// [`reap_with_grace`], but also report whether the deadline forced a
-/// `SIGKILL`. Supervisors draining a fleet under one shared deadline
-/// use the flag to leave an audit trail for every child that refused
-/// the polite path.
-pub fn reap_with_grace_report(child: &mut std::process::Child, grace: Duration) -> ReapOutcome {
-    send(child.id(), SIGTERM);
-    let deadline = std::time::Instant::now() + grace;
-    loop {
-        match child.try_wait() {
-            Ok(Some(status)) => {
-                return ReapOutcome {
-                    status: Some(status),
-                    forced: false,
-                }
-            }
-            Ok(None) => {}
-            Err(_) => break,
-        }
-        if std::time::Instant::now() >= deadline {
-            break;
-        }
-        std::thread::sleep(REAP_POLL);
-    }
-    // Grace expired (or try_wait errored): force it down and reap.
-    let _ = child.kill();
-    ReapOutcome {
-        status: child.wait().ok(),
-        forced: true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,61 +166,9 @@ mod tests {
     }
 
     #[test]
-    #[cfg(unix)]
-    fn reap_terminates_a_sleeping_child_within_grace() {
-        let mut child = std::process::Command::new("sleep")
-            .arg("30")
-            .spawn()
-            .unwrap();
-        let started = std::time::Instant::now();
-        let status = reap_with_grace(&mut child, Duration::from_secs(5));
-        // `sleep` dies to the SIGTERM long before the grace expires, and
-        // the exit status reflects the signal, not success.
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert!(!status.unwrap().success());
-        // Already-reaped: a second wait errors rather than blocking,
-        // proving the child is gone from the process table.
-        assert!(child.try_wait().is_err() || child.try_wait().unwrap().is_some());
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn reap_collects_an_already_dead_child() {
-        let mut child = std::process::Command::new("true").spawn().unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        let status = reap_with_grace(&mut child, Duration::from_secs(1));
-        assert!(status.unwrap().success());
-    }
-
-    #[test]
     fn hup_handler_installs_and_counter_starts_quiet() {
         assert_eq!(install_hup(), cfg!(unix));
         assert_eq!(hup_received(), 0);
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn reap_report_flags_a_forced_kill() {
-        // `sh` ignoring TERM cannot drain politely; the deadline must
-        // force it and say so.
-        let mut stubborn = std::process::Command::new("sh")
-            .args(["-c", "trap '' TERM; sleep 30"])
-            .spawn()
-            .unwrap();
-        // Give the shell a moment to install its trap, otherwise the
-        // TERM lands before the trap and the exit is polite.
-        std::thread::sleep(Duration::from_millis(200));
-        let outcome = reap_with_grace_report(&mut stubborn, Duration::from_millis(300));
-        assert!(outcome.forced);
-        assert!(!outcome.status.unwrap().success());
-
-        // A cooperative child reports an unforced reap.
-        let mut polite = std::process::Command::new("sleep")
-            .arg("30")
-            .spawn()
-            .unwrap();
-        let outcome = reap_with_grace_report(&mut polite, Duration::from_secs(5));
-        assert!(!outcome.forced);
     }
 
     #[test]

@@ -41,15 +41,13 @@ impl StrippedPartition {
 
     /// Partition by one attribute's column.
     ///
-    /// Buckets rows by dictionary code — structural equality of cells is
-    /// code equality — so no `Value` is hashed or compared.
+    /// Groups rows by dictionary code — structural equality of cells is
+    /// code equality — so no `Value` is hashed or compared. The codes are
+    /// already a dense key, so this is the counting sort of
+    /// [`StrippedPartition::from_attrs`] with no width gate.
     pub fn from_column(rel: &Relation, attr: crate::AttrId) -> Self {
         let col = rel.col(attr);
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); col.dict().len()];
-        for (row, &code) in col.codes().iter().enumerate() {
-            buckets[code as usize].push(row);
-        }
-        Self::from_groups(buckets, rel.n_rows())
+        Self::from_keys(col.codes(), col.dict().len(), rel.n_rows())
     }
 
     /// Partition by an attribute set.
@@ -86,10 +84,6 @@ impl StrippedPartition {
     /// when the combined domain is too wide (the product chain in
     /// [`StrippedPartition::from_attrs`] then takes over).
     ///
-    /// Byte-identity: classes are created in first-covered-row order and
-    /// filled ascending, which is exactly the canonical order
-    /// `from_groups` produces (disjoint ascending classes sort by their
-    /// first element).
     fn from_codes_radix(rel: &Relation, attrs: AttrSet) -> Option<StrippedPartition> {
         let n = rel.n_rows();
         if n >= u32::MAX as usize {
@@ -113,9 +107,21 @@ impl StrippedPartition {
                 *k = (u64::from(*k) * d + u64::from(code)) as u32;
             }
         }
+        Some(Self::from_keys(&keys, domain, n))
+    }
+
+    /// Count, then place: group the rows of `keys` (one dense key below
+    /// `domain` per row) into classes with their exact capacity, skipping
+    /// keys that occur once.
+    ///
+    /// Byte-identity: classes are created in first-covered-row order and
+    /// filled ascending, which is exactly the canonical order
+    /// `from_groups` produces (disjoint ascending classes sort by their
+    /// first element).
+    fn from_keys(keys: &[u32], domain: usize, n_rows: usize) -> StrippedPartition {
         let mut count = vec![0u32; domain];
-        for &k in &keys {
-            count[k as usize] += 1;
+        for &k in keys {
+            count[k as usize] = count[k as usize].saturating_add(1);
         }
         const NO_CLASS: u32 = u32::MAX;
         let mut class_of = vec![NO_CLASS; domain];
@@ -136,7 +142,7 @@ impl StrippedPartition {
             };
             classes[slot as usize].push(row);
         }
-        Some(StrippedPartition { classes, n_rows: n })
+        StrippedPartition { classes, n_rows }
     }
 
     fn from_groups<I: IntoIterator<Item = Vec<usize>>>(groups: I, n_rows: usize) -> Self {

@@ -4,9 +4,11 @@
 //!
 //! The gateway is one process that:
 //!
-//! - **spawns and supervises** N worker processes on ephemeral ports
-//!   (`supervisor`): crash → exponential-backoff respawn, crash loop →
-//!   quarantine, wedged worker → `/readyz` probes declare it dead;
+//! - **spawns and supervises** N worker processes on ephemeral ports:
+//!   one pure state machine (`fleet`) decides, and a thin shell
+//!   (`supervisor`) spawns, signals, reaps and probes. Crash →
+//!   exponential-backoff respawn, crash loop → quarantine, wedged worker
+//!   → `/readyz` probes declare it dead;
 //! - **places datasets** (`placement`): every dataset lives whole on a
 //!   digest-stable home worker, plus `--replicas` successors and any
 //!   bare worker topped up as a spare;
@@ -15,19 +17,19 @@
 //!   forwarded byte-for-byte; a refusal or a transport error fails over
 //!   to the next holder. The gateway's answer is the worker's, which is
 //!   the CLI's;
-//! - **restarts rolling**: `POST /admin/reload` (or SIGHUP) drains one
-//!   worker at a time, waiting for the respawn to go ready before
-//!   touching the next slot, so capacity never drops below N−1 and
-//!   failover covers the drained slot;
+//! - **restarts rolling**: `POST /admin/reload` (or SIGHUP) drains the
+//!   workers that are up one at a time, each only while every other
+//!   worker that is not quarantined is up, and moves on once the respawn
+//!   probes green, so failover covers the drained slot;
 //! - **front-ends with the same hardened listener** as `deptree serve`
 //!   ([`crate::listener`]): admission control, slow-loris bounds, panic
 //!   barrier, and the two-phase drain all apply unchanged.
 //!
 //! Lifecycle on SIGTERM: stop accepting, drain in-flight proxies,
-//! SIGTERM every worker, reap each under a grace (SIGKILL past it),
-//! exit 0 — see [`GatewayHandle::drain_and_join`].
+//! SIGTERM every worker not already draining, reap each under one shared
+//! grace (SIGKILL past it), exit 0 — see [`GatewayHandle::drain_and_join`].
 
-mod chaos;
+mod fleet;
 mod placement;
 mod supervisor;
 
@@ -41,13 +43,20 @@ use crate::protocol::{error_body, ErrorCode, Request};
 use crate::router::{self, AppState};
 use crate::telemetry;
 use deptree_core::DeptreeError;
+use fleet::Policy;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use supervisor::{log, Supervisor, SupervisorConfig};
+
+/// Uptime below this counts as a fast crash (quarantine fuel).
+const FAST_CRASH: Duration = Duration::from_secs(1);
+/// Consecutive failed `/readyz` probes before a worker is declared dead.
+const PROBE_FAILURES: u32 = 3;
+/// How long a starting worker may take to announce its address.
+const SPAWN_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Everything `spawn_gateway` needs.
 #[derive(Debug, Clone)]
@@ -73,23 +82,14 @@ pub struct GatewayConfig {
     pub respawn_base: Duration,
     /// Cap on the exponential respawn delay.
     pub respawn_max: Duration,
-    /// Uptime below this counts as a fast crash (quarantine fuel).
-    pub fast_crash: Duration,
     /// Consecutive fast crashes before a worker is quarantined.
     pub quarantine_after: u32,
     /// How long a quarantined worker sits out before probation.
     pub quarantine_cooldown: Duration,
     /// How often each Up worker's `/readyz` is probed.
     pub probe_interval: Duration,
-    /// Consecutive failed probes before a worker is declared dead.
-    pub probe_failures: u32,
-    /// How long a starting worker may take to announce its address.
-    pub spawn_timeout: Duration,
     /// SIGTERM→SIGKILL grace per worker at shutdown and rolling drain.
     pub child_grace: Duration,
-    /// Test-only: arm a deterministic kill/wedge/slow schedule derived
-    /// from this seed against the fleet (`chaos`).
-    pub chaos_seed: Option<u64>,
     /// Front-end transport knobs (bind address, admission, timeouts).
     pub listen: ListenOpts,
 }
@@ -107,14 +107,10 @@ impl Default for GatewayConfig {
             max_deadline: Duration::from_secs(60),
             respawn_base: Duration::from_millis(500),
             respawn_max: Duration::from_secs(15),
-            fast_crash: Duration::from_secs(1),
             quarantine_after: 3,
             quarantine_cooldown: Duration::from_secs(30),
             probe_interval: Duration::from_millis(500),
-            probe_failures: 3,
-            spawn_timeout: Duration::from_secs(10),
             child_grace: Duration::from_secs(5),
-            chaos_seed: None,
             listen: ListenOpts::default(),
         }
     }
@@ -131,12 +127,6 @@ struct GatewayState {
     drain: Arc<DrainState>,
     default_deadline: Duration,
     max_deadline: Duration,
-    /// Set while the coordinator is running a rolling restart.
-    reloading: AtomicBool,
-    /// Edge-trigger from `/admin/reload` / SIGHUP to the coordinator.
-    reload_requested: AtomicBool,
-    /// How long a rolling restart waits for a drained slot to return.
-    restart_wait: Duration,
     /// Idle keep-alive connections to workers, shared across the proxy,
     /// catalogue and metrics paths. A worker restart leaves
     /// stale sockets behind; the pooled client falls back to a fresh
@@ -191,7 +181,7 @@ impl GatewayState {
             .set("inflight", self.drain.inflight() as u64)
             .set("workers", self.supervisor.status_json())
             .set("quarantined", self.supervisor.quarantined_count() as u64)
-            .set("reloading", self.reloading.load(Ordering::Acquire))
+            .set("reloading", self.supervisor.reloading())
     }
 
     fn readyz(&self) -> (u16, Json) {
@@ -206,7 +196,7 @@ impl GatewayState {
                 ),
             );
         }
-        let up = self.supervisor.live_count();
+        let up = self.supervisor.live().len();
         if up == 0 {
             return (
                 503,
@@ -291,15 +281,15 @@ impl GatewayState {
         out
     }
 
-    /// Kick off a rolling restart: flag the coordinator thread and
-    /// return immediately — progress is observable in `/healthz`
-    /// (`reloading`) and the per-worker restart counters.
+    /// Start a rolling restart and return at once — progress is
+    /// observable in `/healthz` (`reloading`) and the per-worker restart
+    /// counters.
     fn reload(&self) -> ServiceReply {
         let _inflight = self.drain.track();
         if self.drain.is_draining() {
             return reply_err(ErrorCode::Draining, "server is draining");
         }
-        if !self.request_reload() {
+        if !self.supervisor.request_reload() {
             return reply_err(
                 ErrorCode::Overloaded,
                 "a rolling restart is already in progress",
@@ -312,15 +302,6 @@ impl GatewayState {
                 .set("reload", "started")
                 .set("workers", self.supervisor.slot_count() as u64),
         )
-    }
-
-    /// Edge-trigger a rolling restart; `false` when one is already
-    /// running or pending.
-    fn request_reload(&self) -> bool {
-        if self.reloading.load(Ordering::Acquire) {
-            return false;
-        }
-        !self.reload_requested.swap(true, Ordering::AcqRel)
     }
 
     /// Route a task — or a batch whose items all name one dataset — to
@@ -414,56 +395,6 @@ impl GatewayState {
         }
     }
 
-    /// The rolling restart itself, run on the coordinator thread: drain
-    /// one Up worker at a time, waiting for its respawn to answer
-    /// `/readyz` before touching the next slot — capacity never drops
-    /// below N−1, and proxy failover covers the drained slot.
-    fn rolling_restart(&self, stop: &AtomicBool) {
-        let n = self.supervisor.slot_count();
-        log(&format!(
-            "rolling restart: cycling {n} worker(s) one at a time"
-        ));
-        for id in 0..n {
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            if self.supervisor.worker_addr(id).is_none() {
-                log(&format!(
-                    "rolling restart: worker {id} not up; left to the crash machinery"
-                ));
-                continue;
-            }
-            if !self.supervisor.begin_drain(id) {
-                log(&format!(
-                    "rolling restart: worker {id} refused drain; skipped"
-                ));
-                continue;
-            }
-            let deadline = Instant::now() + self.restart_wait;
-            loop {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                if let Some(addr) = self.supervisor.worker_addr(id) {
-                    let cfg = self.worker_client(&addr, 0, Duration::from_secs(2));
-                    if matches!(client::fetch_text(&cfg, "/readyz"), Ok((200, _))) {
-                        break;
-                    }
-                }
-                if Instant::now() >= deadline {
-                    log(&format!(
-                        "rolling restart: worker {id} did not return within {:?}; aborting",
-                        self.restart_wait
-                    ));
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            log(&format!("rolling restart: worker {id} restarted and ready"));
-        }
-        log("rolling restart: complete");
-    }
-
     /// The deadline a proxied request is working under, for sizing the
     /// gateway→worker I/O timeouts around it.
     fn deadline_of(&self, req: &Request) -> Duration {
@@ -510,15 +441,11 @@ fn reply_err(code: ErrorCode, message: &str) -> ServiceReply {
     ServiceReply::Json(code.http_status(), error_body(code, message))
 }
 
-/// A running gateway: front-end server plus the supervised fleet and
-/// its background threads.
+/// A running gateway: front-end server plus the supervised fleet.
 pub struct GatewayHandle {
     server: ServerHandle,
     supervisor: Arc<Supervisor>,
     state: Arc<GatewayState>,
-    /// Stops the reload coordinator and any armed chaos schedule.
-    bg_stop: Arc<AtomicBool>,
-    bg_threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl GatewayHandle {
@@ -553,23 +480,19 @@ impl GatewayHandle {
         self.state.homes.get(dataset).map(Vec::as_slice)
     }
 
-    /// Kick off a rolling restart (the SIGHUP path); `false` when one
-    /// is already running or pending.
+    /// Start a rolling restart (the SIGHUP path); `false` when one is
+    /// already running.
     pub fn request_reload(&self) -> bool {
-        self.state.request_reload()
+        self.supervisor.request_reload()
     }
 
     /// The orderly exit: stop accepting, drain in-flight proxies
-    /// (cancelling stragglers past the grace), stop the reload and
-    /// chaos threads, then SIGTERM every worker and reap it — SIGKILL
-    /// past the child grace. No zombies survive this call.
+    /// (cancelling stragglers past the grace), then SIGTERM every worker
+    /// not already draining and reap it — SIGKILL past the child grace.
+    /// No zombies survive this call.
     pub fn drain_and_join(self) {
         self.server.drain();
         self.server.join();
-        self.bg_stop.store(true, Ordering::Release);
-        for t in self.bg_threads {
-            let _ = t.join();
-        }
         self.supervisor.shutdown();
     }
 }
@@ -625,15 +548,17 @@ pub fn spawn_gateway(config: GatewayConfig) -> Result<GatewayHandle, DeptreeErro
     let supervisor = Supervisor::start(SupervisorConfig {
         worker_bin: config.worker_bin.clone(),
         worker_args,
-        respawn_base: config.respawn_base,
-        respawn_max: config.respawn_max,
-        fast_crash: config.fast_crash,
-        quarantine_after: config.quarantine_after.max(1),
-        quarantine_cooldown: config.quarantine_cooldown,
-        probe_interval: config.probe_interval,
-        probe_failures: config.probe_failures.max(1),
-        spawn_timeout: config.spawn_timeout,
-        child_grace: config.child_grace,
+        policy: Policy {
+            respawn_base: config.respawn_base,
+            respawn_max: config.respawn_max,
+            fast_crash: FAST_CRASH,
+            quarantine_after: config.quarantine_after.max(1),
+            quarantine_cooldown: config.quarantine_cooldown,
+            probe_interval: config.probe_interval,
+            probe_failures: PROBE_FAILURES,
+            spawn_timeout: SPAWN_TIMEOUT,
+            child_grace: config.child_grace,
+        },
     });
 
     let drain = DrainState::new();
@@ -652,67 +577,16 @@ pub fn spawn_gateway(config: GatewayConfig) -> Result<GatewayHandle, DeptreeErro
         drain,
         default_deadline: config.default_deadline,
         max_deadline: config.max_deadline,
-        reloading: AtomicBool::new(false),
-        reload_requested: AtomicBool::new(false),
-        restart_wait: config.spawn_timeout + config.child_grace + Duration::from_secs(10),
         pool: client::ConnPool::new(),
     });
-
-    let bg_stop = Arc::new(AtomicBool::new(false));
-    let mut bg_threads = Vec::new();
-    // The reload coordinator: waits for the edge-trigger and runs the
-    // rolling restart off the request path.
-    {
-        let state = Arc::clone(&state);
-        let stop = Arc::clone(&bg_stop);
-        if let Ok(t) = std::thread::Builder::new()
-            .name("deptree-reload".to_owned())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    if state.reload_requested.swap(false, Ordering::AcqRel) {
-                        state.reloading.store(true, Ordering::Release);
-                        state.rolling_restart(&stop);
-                        state.reloading.store(false, Ordering::Release);
-                    }
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-            })
-        {
-            bg_threads.push(t);
-        }
-    }
-    if let Some(seed) = config.chaos_seed {
-        let plan = chaos::ChaosPlan::from_seed(seed, config.workers.max(1));
-        let chaos_stop = chaos::arm(plan, Arc::clone(&supervisor));
-        let stop = Arc::clone(&bg_stop);
-        // Piggyback the chaos stop flag on the shared one: a tiny
-        // watcher beats threading two flags through the handle.
-        if let Ok(t) = std::thread::Builder::new()
-            .name("deptree-chaos-stop".to_owned())
-            .spawn(move || {
-                while !stop.load(Ordering::Acquire) {
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                chaos_stop.store(true, Ordering::Release);
-            })
-        {
-            bg_threads.push(t);
-        }
-    }
 
     match spawn_service(config.listen, Arc::clone(&state)) {
         Ok(server) => Ok(GatewayHandle {
             server,
             supervisor,
             state,
-            bg_stop,
-            bg_threads,
         }),
         Err(e) => {
-            bg_stop.store(true, Ordering::Release);
-            for t in bg_threads {
-                let _ = t.join();
-            }
             supervisor.shutdown();
             Err(e)
         }

@@ -64,7 +64,11 @@
 #      must not list the dev-only `deptree-reference` crate: oracles and
 #      baselines never ship;
 #  13. rustdoc — `RUSTDOCFLAGS="-D warnings" cargo doc --workspace
-#      --no-deps`: every intra-doc link resolves, none to a private item.
+#      --no-deps`: every intra-doc link resolves, none to a private item;
+#  14. member-crate tests — `cargo test -q --workspace --exclude deptree`:
+#      the unit and integration tests of every workspace crate other than
+#      the root package that tier-1 runs, among them the gateway fleet's
+#      exhaustive state enumeration, TANE's and the cover search's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -362,5 +366,8 @@ fi
 
 echo "== rustdoc (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "== member-crate tests (every workspace crate but the root package) =="
+cargo test -q --workspace --exclude deptree
 
 echo "ci: all green"

@@ -26,7 +26,8 @@
 //!                            [--quarantine-after K] [--quarantine-cooldown-ms MS]
 //!                            [--probe-interval-ms MS] [--default-timeout-ms MS]
 //!                            [--max-timeout-ms MS] [--drain-grace-ms MS]
-//!                            [--child-grace-ms MS] [--chaos-plan SEED] [--threads T] [--lossy]
+//!                            [--child-grace-ms MS] [--max-conns N] [--queue-depth N]
+//!                            [--threads T] [--lossy]
 //! deptree tree
 //! ```
 //!
@@ -37,7 +38,8 @@
 //! datasets (see DESIGN.md §10); `query` is the matching retry client.
 //! `gateway` supervises a fleet of `serve` workers — crash respawn with
 //! backoff, crash-loop quarantine, digest placement of whole datasets,
-//! and byte-identical proxying with failover (DESIGN.md §12).
+//! and byte-identical proxying with failover (DESIGN.md §12); it rejects
+//! any flag it does not read.
 //!
 //! ## Budgets, cancellation and exit codes
 //!
@@ -126,9 +128,16 @@ fn main() -> ExitCode {
             esay!("                             [--max-attempts N] [--repeat N]");
             esay!("  deptree gateway --data name=path[:types] [--workers N] [--replicas N]");
             esay!("                             [--addr HOST:PORT] [--worker-bin PATH]");
-            esay!("                             [--respawn-base-ms MS] [--quarantine-after K]");
-            esay!("                             [--drain-grace-ms MS] [--chaos-plan SEED]");
-            esay!("                             [--threads T] [--lossy]");
+            esay!("                             [--respawn-base-ms MS] [--respawn-max-ms MS]");
+            esay!(
+                "                             [--quarantine-after K] [--quarantine-cooldown-ms MS]"
+            );
+            esay!(
+                "                             [--probe-interval-ms MS] [--default-timeout-ms MS]"
+            );
+            esay!("                             [--max-timeout-ms MS] [--drain-grace-ms MS]");
+            esay!("                             [--child-grace-ms MS] [--max-conns N]");
+            esay!("                             [--queue-depth N] [--threads T] [--lossy]");
             esay!("  deptree tree");
             ExitCode::FAILURE
         }
@@ -505,16 +514,10 @@ fn serve_cmd(args: &[String]) -> Result<(), CliError> {
 /// front them with health-probed respawn and byte-identical proxying to
 /// each dataset's holders (DESIGN.md §12).
 fn gateway_cmd(args: &[String]) -> Result<(), CliError> {
+    check_gateway_flags(args)?;
     let specs = flag_all(args, "--data");
     if specs.is_empty() {
         return Err(usage("gateway needs at least one --data name=path[:types]"));
-    }
-    // Unknown flags are otherwise ignored; a script still passing the
-    // removed `--shard` must fail loudly, not get another deployment.
-    if args.iter().any(|a| a == "--shard") {
-        return Err(usage(
-            "--shard is gone: every dataset is served whole; use --replicas N for extra copies",
-        ));
     }
     let lossy = args.iter().any(|a| a == "--lossy");
     let mut datasets = Vec::new();
@@ -552,18 +555,14 @@ fn gateway_cmd(args: &[String]) -> Result<(), CliError> {
             .map_or(d.respawn_base, Duration::from_millis),
         respawn_max: num_flag(args, "--respawn-max-ms")?
             .map_or(d.respawn_max, Duration::from_millis),
-        fast_crash: d.fast_crash,
         quarantine_after: num_flag(args, "--quarantine-after")?
             .map_or(d.quarantine_after, |n| (n as u32).max(1)),
         quarantine_cooldown: num_flag(args, "--quarantine-cooldown-ms")?
             .map_or(d.quarantine_cooldown, Duration::from_millis),
         probe_interval: num_flag(args, "--probe-interval-ms")?
             .map_or(d.probe_interval, Duration::from_millis),
-        probe_failures: d.probe_failures,
-        spawn_timeout: d.spawn_timeout,
         child_grace: num_flag(args, "--child-grace-ms")?
             .map_or(d.child_grace, Duration::from_millis),
-        chaos_seed: num_flag(args, "--chaos-plan")?,
         listen,
     };
 
@@ -610,6 +609,51 @@ fn gateway_cmd(args: &[String]) -> Result<(), CliError> {
     drop(force);
     handle.drain_and_join();
     esay!("drained; exiting");
+    Ok(())
+}
+
+/// Every flag `deptree gateway` reads that takes a value; `--lossy` is
+/// the one that takes none.
+const GATEWAY_VALUE_FLAGS: [&str; 17] = [
+    "--data",
+    "--workers",
+    "--replicas",
+    "--addr",
+    "--worker-bin",
+    "--respawn-base-ms",
+    "--respawn-max-ms",
+    "--quarantine-after",
+    "--quarantine-cooldown-ms",
+    "--probe-interval-ms",
+    "--default-timeout-ms",
+    "--max-timeout-ms",
+    "--drain-grace-ms",
+    "--child-grace-ms",
+    "--max-conns",
+    "--queue-depth",
+    "--threads",
+];
+
+/// A flag the gateway does not read is a usage error, not a silent
+/// default: a misspelt or retired flag must not start another deployment.
+fn check_gateway_flags(args: &[String]) -> Result<(), CliError> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if arg == "--lossy" {
+            continue;
+        }
+        if arg == "--shard" {
+            return Err(usage(
+                "--shard is gone: every dataset is served whole; use --replicas N for extra copies",
+            ));
+        }
+        if !GATEWAY_VALUE_FLAGS.contains(&arg.as_str()) {
+            return Err(usage(format!("unknown gateway argument `{arg}`")));
+        }
+        if rest.next().is_none() {
+            return Err(usage(format!("{arg} needs a value")));
+        }
+    }
     Ok(())
 }
 

@@ -109,21 +109,84 @@ fn tree_prints_all_roots() {
     assert!(stdout.contains("CSDs"));
 }
 
+/// Every `--flag` in the lines from the one starting `deptree gateway` up
+/// to the next `deptree` command.
+fn gateway_flags<'a>(lines: impl Iterator<Item = &'a str>) -> std::collections::BTreeSet<String> {
+    let mut inside = false;
+    let mut flags = std::collections::BTreeSet::new();
+    for line in lines {
+        if line.contains("deptree ") {
+            inside = line.contains("deptree gateway");
+        }
+        if inside {
+            let words = line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            flags.extend(words.filter(|w| w.starts_with("--")).map(str::to_owned));
+        }
+    }
+    flags
+}
+
 #[test]
 fn unknown_command_fails_with_usage() {
     let (_, stderr, ok) = deptree(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("usage:"));
-    // The removed `--shard` fails loudly instead of being ignored.
-    let (_, stderr, ok) = deptree(&[
-        "gateway",
-        "--data",
-        "hotels=data/hotels.csv",
-        "--shard",
-        "hotels",
-    ]);
-    assert!(!ok);
-    assert!(stderr.contains("usage:") && stderr.contains("--replicas"));
+    // The printed usage, the module doc and the parser list the same
+    // gateway flags.
+    let source = include_str!("../src/bin/deptree.rs");
+    let doc = gateway_flags(source.lines().filter_map(|l| l.strip_prefix("//! ")));
+    let printed = gateway_flags(stderr.lines());
+    assert_eq!(printed, doc, "printed usage and module doc disagree");
+    let list = source
+        .split("const GATEWAY_VALUE_FLAGS")
+        .nth(1)
+        .and_then(|rest| rest.split("];").next())
+        .expect("the gateway's flag list");
+    let mut parsed: std::collections::BTreeSet<String> = list
+        .split('"')
+        .filter(|w| w.starts_with("--"))
+        .map(str::to_owned)
+        .collect();
+    parsed.insert("--lossy".to_owned());
+    assert_eq!(parsed, doc, "the gateway parser and its usage disagree");
+    // A flag the gateway does not read fails with exit 1 and the usage:
+    // the removed `--shard` (with a hint) and `--chaos-plan`, a misspelling.
+    for (flag, value) in [
+        ("--shard", "hotels"),
+        ("--chaos-plan", "7"),
+        ("--replica", "1"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_deptree"))
+            .args(["gateway", "--data", "hotels=data/hotels.csv", flag, value])
+            .current_dir(env!("CARGO_MANIFEST_DIR"))
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("try_wait") {
+                break status;
+            }
+            if std::time::Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("`gateway {flag}` started a gateway instead of failing");
+            }
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("stderr"), &mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.code(), Some(1), "{flag}: {stderr}");
+        assert!(
+            stderr.contains("usage:") && stderr.contains(flag),
+            "{flag}: {stderr}"
+        );
+        if flag == "--shard" {
+            assert!(stderr.contains("--replicas"), "{stderr}");
+        }
+    }
 }
 
 #[test]

@@ -821,7 +821,7 @@ fn retryable_draining_exhausts_the_retry_budget() {
 //
 // The same standing assertions, one level up: `deptree gateway` fronts a
 // supervised fleet of `deptree serve` workers, and no worker fault — a
-// SIGKILLed home worker, a crash-looping binary, a chaos schedule, a
+// SIGKILLed home worker, a SIGSTOPped one, a crash-looping binary, a
 // rolling restart — may surface as a failed request or as an answer
 // that differs from the CLI's.
 
@@ -1480,62 +1480,54 @@ fn metric_value(text: &str, name: &str) -> Option<f64> {
     })
 }
 
+/// A wedged home worker — alive, but stopped by SIGSTOP — costs no
+/// answer: a read stuck on it fails over to another holder once the
+/// supervisor's failed `/readyz` probes declare the worker dead, and the
+/// slot is respawned once, with the stopped process SIGKILLed and reaped.
 #[test]
-fn seeded_chaos_schedule_is_survived_with_sound_answers_throughout() {
+fn a_wedged_worker_is_probed_dead_reaped_and_respawned() {
     let full = planted_relation(240, 17);
-    let csv = write_temp_csv("chaos", &full);
-    let spec = DatasetSpec {
-        name: "planted".to_owned(),
-        path: csv.display().to_string(),
-        types: None,
-    };
-    let config = GatewayConfig {
-        replicas: 1,
-        chaos_seed: Some(1234),
-        respawn_base: Duration::from_millis(200),
-        respawn_max: Duration::from_secs(1),
-        // Chaos kills land close enough together to look like a crash
-        // loop; give the fleet enough fuel that the schedule cannot
-        // park a slot in a two-minute quarantine.
-        quarantine_after: 10,
-        quarantine_cooldown: Duration::from_millis(500),
-        ..gateway_config(vec![spec], 3)
-    };
-    let handle = spawn_gateway(config).expect("gateway");
-    let cfg = gw_client(&handle);
-    wait_workers_up(&cfg, 3);
-
-    // Query continuously across the whole 8s chaos horizon: kills,
-    // wedges and slowdowns land per the seeded schedule, and every
-    // single answer must be a whole 200 equal to the in-process profile.
+    let csv = write_temp_csv("wedge", &full);
+    let (handle, cfg) = failover_fleet(&csv, Duration::from_millis(200));
     let want = profile_report(&full);
     let body = discover_body("planted");
-    let horizon = Instant::now() + Duration::from_millis(8_500);
-    let mut answers = 0u32;
-    while Instant::now() < horizon {
-        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-            .expect("every request under chaos must still answer 200");
-        assert_eq!(resp.status, 200);
-        assert_eq!(resp.body.bool_field("partial"), Some(false));
-        assert_eq!(
-            resp.body.str_field("report"),
-            Some(want.as_str()),
-            "answer under chaos diverges from the in-process profile"
-        );
-        answers += 1;
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    assert!(
-        answers >= 20,
-        "the chaos loop barely ran ({answers} answers)"
-    );
+    let healthy =
+        deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("healthy");
+    assert_whole(&healthy, &want, "healthy");
 
-    // Once the schedule is spent the whole fleet is back, answering the
-    // same profile.
+    let home = handle.holders("planted").expect("planted is placed")[0];
+    let victim = handle.worker_pids()[home].expect("home worker pid");
+    assert!(
+        sh(&format!("kill -STOP {victim}")),
+        "SIGSTOP the home worker"
+    );
+    for _ in 0..3 {
+        let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
+            .expect("a discover with the home worker wedged");
+        assert_whole(&resp, &want, "home wedged");
+        assert_eq!(
+            timeless(resp.body.render().as_bytes()),
+            timeless(healthy.body.render().as_bytes()),
+            "reads around a wedged worker must equal the healthy read up to `elapsed_ms`"
+        );
+    }
+
+    wait_respawn(&handle, home, victim, Duration::from_secs(30));
+    assert_eq!(
+        handle.worker_restarts_of(home),
+        1,
+        "one respawn of the wedged slot"
+    );
+    assert!(
+        !signal::send(victim, 0),
+        "the stopped worker {victim} was never reaped"
+    );
     wait_workers_up(&cfg, 3);
-    let resp = deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body))
-        .expect("post-chaos discover");
-    assert_eq!(resp.body.str_field("report"), Some(want.as_str()));
+    assert_whole(
+        &deptree::serve::query(&cfg, "POST", "/v1/discover", Some(&body)).expect("respawned"),
+        &want,
+        "after the respawn",
+    );
 
     handle.drain_and_join();
     let _ = std::fs::remove_file(&csv);
